@@ -169,24 +169,20 @@ func getStatus(ctx context.Context, client *http.Client, base, id string) (servi
 	return st, nil
 }
 
-// followRows streams the job's JSONL rows until the job reaches a rest
-// state, copying each raw line to outPath ("-" or "" = stdout only when
-// "-") and parsing it for the summary. The footer row (if present) is
-// copied through like any other line.
-func followRows(ctx context.Context, client *http.Client, base, id, outPath string) ([]burst.SuiteRow, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/jobs/"+id+"/rows?follow=1", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("follow rows: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("follow rows: daemon said %s: %s", resp.Status, readErr(resp.Body))
-	}
+// maxRefollows bounds how many times followRows re-opens a row stream
+// that ended without the footer row.
+const maxRefollows = 5
 
+// followRows streams the job's JSONL rows until the job reaches a rest
+// state, copying each raw line to outPath ("-" = stdout, "" = nowhere)
+// and parsing it for the summary. The footer row is copied through like
+// any other line. The daemon may end a follow before the footer — it
+// drops a follower that falls behind — so, as its subscriber contract
+// asks, a stream without the footer is followed again, up to
+// maxRefollows times, unless the job failed or was interrupted (such
+// runs write no footer). Every follow replays the spool from its first
+// row, so lines already seen are skipped by position.
+func followRows(ctx context.Context, client *http.Client, base, id, outPath string) ([]burst.SuiteRow, error) {
 	var out io.Writer
 	switch outPath {
 	case "":
@@ -202,29 +198,80 @@ func followRows(ctx context.Context, client *http.Client, base, id, outPath stri
 	}
 
 	var rows []burst.SuiteRow
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+	seen := 0
+	for follows := 1; ; follows++ {
+		footer, err := followOnce(ctx, client, base+"/api/v1/jobs/"+id+"/rows?follow=1", func(n int, line []byte) bool {
+			var row burst.SuiteRow
+			parsed := json.Unmarshal(line, &row) == nil
+			isFooter := parsed && row.Status == burst.CellStatusFooter
+			if n < seen {
+				return isFooter
+			}
+			seen++
+			if out != nil {
+				out.Write(line)         //nolint:errcheck
+				out.Write([]byte{'\n'}) //nolint:errcheck
+			}
+			if parsed && !isFooter {
+				rows = append(rows, row)
+			}
+			return isFooter
+		})
+		if err != nil {
+			return nil, err
 		}
-		if out != nil {
-			out.Write(line)         //nolint:errcheck
-			out.Write([]byte{'\n'}) //nolint:errcheck
+		if footer {
+			return rows, nil
 		}
-		var row burst.SuiteRow
-		if err := json.Unmarshal(line, &row); err != nil {
-			continue
+		st, err := getStatus(ctx, client, base, id)
+		if err != nil {
+			return nil, err
 		}
-		if row.Status != burst.CellStatusFooter {
-			rows = append(rows, row)
+		if st.State == service.JobFailed || st.State == service.JobInterrupted {
+			return rows, nil
+		}
+		if follows > maxRefollows {
+			return nil, fmt.Errorf("follow rows: %d streams ended without the footer row (job %s)", follows, st.State)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("follow rows: %w", err)
+}
+
+// followOnce reads one row stream, calling line with each complete
+// (newline-terminated, non-blank) line and its position in the stream,
+// and reports whether line found the footer row. A trailing fragment
+// cut off by a closed connection is not a line; the next follow
+// delivers it whole.
+func followOnce(ctx context.Context, client *http.Client, url string, line func(n int, data []byte) (isFooter bool)) (footer bool, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return false, err
 	}
-	return rows, nil
+	resp, err := client.Do(req)
+	if err != nil {
+		return false, fmt.Errorf("follow rows: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return false, fmt.Errorf("follow rows: daemon said %s: %s", resp.Status, readErr(resp.Body))
+	}
+	br := bufio.NewReader(resp.Body)
+	for n := 0; ; {
+		data, rerr := br.ReadBytes('\n')
+		if rerr == io.EOF {
+			return footer, nil
+		}
+		if rerr != nil {
+			return false, fmt.Errorf("follow rows: %w", rerr)
+		}
+		data = bytes.TrimSuffix(data, []byte{'\n'})
+		if len(bytes.TrimSpace(data)) == 0 {
+			continue
+		}
+		if line(n, data) {
+			footer = true
+		}
+		n++
+	}
 }
 
 // remoteReport reassembles a SuiteReport from the streamed rows and the

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -161,9 +163,16 @@ func (s Scenario) clone() Scenario {
 	return cp
 }
 
+// MaxSuiteCells caps the cells one suite may expand to. Expand refuses a
+// larger grid before allocating anything, so a small suite file with a
+// few long axes (3,000^3 cells from 78 KB of JSON) cannot exhaust the
+// memory of burstlabd, which expands every submission.
+const MaxSuiteCells = 10000
+
 // Expand crosses the grid's axes over the base scenario, producing the
 // suite's cells in deterministic row-major order (later axes fastest).
-// Every cell is patched, defaulted, validated and content-hashed.
+// Every cell is patched, defaulted, validated and content-hashed. A grid
+// of more than MaxSuiteCells cells is an error.
 func (s Suite) Expand() ([]SuiteCell, error) {
 	if err := s.Grid.validate(s.Base); err != nil {
 		return nil, err
@@ -179,9 +188,17 @@ func (s Suite) Expand() ([]SuiteCell, error) {
 		}
 	}
 	axes := s.Grid.axes(names)
-	total := 1
-	for _, ax := range axes {
-		total *= ax.size
+	total, over := 1, false
+	sizes := make([]string, len(axes))
+	for a, ax := range axes {
+		sizes[a] = strconv.Itoa(ax.size)
+		hi, lo := bits.Mul(uint(total), uint(ax.size))
+		over = over || hi != 0 || lo > MaxSuiteCells
+		total = int(lo)
+	}
+	if over {
+		return nil, fmt.Errorf("core: suite grid of %s cells exceeds the %d-cell limit",
+			strings.Join(sizes, " x "), MaxSuiteCells)
 	}
 	baseName := s.Name
 	if baseName == "" {

@@ -100,6 +100,57 @@ func TestSuiteExpandDeterministic(t *testing.T) {
 	}
 }
 
+// TestSuiteExpandCellLimit pins the admission bound: a 78 KB suite with
+// three 3,000-value axes (2.7e10 cells) used to run the process out of
+// memory preallocating its cells; seven 1,000-value axes overflow the
+// cell count itself. Both, and a grid one cell over the limit, are
+// refused; a grid exactly at the limit still expands.
+func TestSuiteExpandCellLimit(t *testing.T) {
+	axis := func(tier int, param string, n int, start float64) TierAxis {
+		ta := TierAxis{Tier: tier, Param: param}
+		for i := 0; i < n; i++ {
+			ta.Values = append(ta.Values, (start*1e3+float64(i))/1e3)
+		}
+		return ta
+	}
+	huge := gridSuite()
+	huge.Grid = Grid{
+		TierAxes:   []TierAxis{axis(0, TierParamMean, 3000, 0.006), axis(1, TierParamI, 3000, 40)},
+		ThinkTimes: axis(0, TierParamMean, 3000, 0.5).Values,
+	}
+	data, err := CanonicalJSON(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) > 80<<10 {
+		t.Fatalf("three-axis suite is %d bytes, want a small file", len(data))
+	}
+	overflow := gridSuite()
+	overflow.Grid = Grid{}
+	for i := 0; i < 7; i++ {
+		overflow.Grid.TierAxes = append(overflow.Grid.TierAxes, axis(1, TierParamI, 1000, 4))
+	}
+	over := gridSuite()
+	over.Grid = Grid{TierAxes: []TierAxis{axis(1, TierParamI, MaxSuiteCells/10+1, 4)}, ThinkTimes: axis(0, TierParamMean, 10, 0.5).Values}
+	for name, s := range map[string]Suite{"3000^3": huge, "1000^7": overflow, "limit+10": over} {
+		cells, err := s.Expand()
+		if err == nil || !strings.Contains(err.Error(), "cell limit") {
+			t.Errorf("%s: Expand = %d cells, error %v; want the cell-limit error", name, len(cells), err)
+		}
+	}
+
+	at := gridSuite()
+	at.Grid = Grid{
+		TierAxes:    []TierAxis{axis(1, TierParamI, MaxSuiteCells/10, 4)},
+		ThinkTimes:  axis(0, TierParamMean, 10, 0.5).Values,
+		Populations: [][]int{{5}},
+	}
+	cells, err := at.Expand()
+	if err != nil || len(cells) != MaxSuiteCells {
+		t.Fatalf("grid at the limit: %d cells, error %v", len(cells), err)
+	}
+}
+
 func TestSuiteExpandValidates(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -152,7 +152,83 @@ type stationSolution struct {
 	qlen   float64   // mean jobs present
 	util   float64   // P(n > 0)
 	resMAP float64   // residence time qlen/x from the MAP chain
-	resExp float64   // residence time of the exponential reference
+}
+
+// stationChain is the iteration-invariant part of one station's level
+// chain, built once per solve from its effective MAP.
+type stationChain struct {
+	mp    *markov.MAP
+	exit  []float64     // completion rate per phase (row sums of D1)
+	aZero *matrix.Dense // level-0 diagonal block (idle semantics)
+	pi    []float64     // stationary vector buffer, (n+1)*order
+}
+
+// decompWorkspace is everything the demand fixed point reuses across
+// stations and iterations, so a solve allocates once rather than once
+// per station, level and iteration. The block-elimination matrices have
+// storage for the largest phase order and are reshaped per station.
+type decompWorkspace struct {
+	chains  []stationChain
+	lam     []float64 // arrival rate per level of the current station
+	targets []float64 // fixed-point demand targets
+	demands []float64 // complement network demands
+	mvaWork []float64 // SweepThroughputs scratch
+
+	inv        []matrix.Dense // level inverses U_j^{-1}, j = 1..n
+	lu         matrix.LU
+	u, t, next matrix.Dense // censored block, its transpose, inv*D1
+	rhs        []float64
+}
+
+func newDecompWorkspace(maps []*markov.MAP, n int, idleRun bool) *decompWorkspace {
+	k := len(maps)
+	order := 0
+	ws := &decompWorkspace{
+		chains:  make([]stationChain, k),
+		lam:     make([]float64, n),
+		targets: make([]float64, k),
+		demands: make([]float64, k-1),
+		mvaWork: make([]float64, 2*(k-1)),
+		inv:     make([]matrix.Dense, n+1),
+	}
+	for i, mp := range maps {
+		m := mp.Order()
+		order = max(order, m)
+		aZero := matrix.NewDense(m, m)
+		if idleRun {
+			// Idle station with free-running phases: D0+D1
+			// off-diagonals, no completions (there is no job to
+			// complete).
+			for r := 0; r < m; r++ {
+				var out float64
+				for c := 0; c < m; c++ {
+					if c == r {
+						continue
+					}
+					v := mp.D0.At(r, c) + mp.D1.At(r, c)
+					aZero.Set(r, c, v)
+					out += v
+				}
+				aZero.Set(r, r, -out)
+			}
+		}
+		ws.chains[i] = stationChain{mp: mp, exit: mp.D1.RowSums(), aZero: aZero, pi: make([]float64, (n+1)*m)}
+	}
+	sq := order * order
+	inv := make([]float64, (n+1)*sq)
+	for j := range ws.inv {
+		ws.inv[j].Data = inv[j*sq : (j+1)*sq : (j+1)*sq]
+	}
+	ws.u.Data = make([]float64, sq)
+	ws.t.Data = make([]float64, sq)
+	ws.next.Data = make([]float64, sq)
+	ws.rhs = make([]float64, order)
+	return ws
+}
+
+// reshape makes d an m-by-m view of the first m*m values of its storage.
+func reshape(d *matrix.Dense, m int) {
+	*d = matrix.Dense{Rows: m, Cols: m, Data: d.Data[:m*m]}
 }
 
 // solveDecomp runs the demand fixed point. warm optionally seeds the
@@ -195,8 +271,9 @@ func solveDecomp(ctx context.Context, m NetworkModel, opts DecompOptions, warm [
 		}
 	}
 
+	ws := newDecompWorkspace(maps, n, m.PhasesRunWhileIdle)
+	lam, targets := ws.lam, ws.targets
 	sols := make([]stationSolution, k)
-	lam := make([]float64, n) // arrival rate per station level, reused
 	iterations := 0
 	residual := math.Inf(1)
 	converged := false
@@ -205,17 +282,15 @@ func solveDecomp(ctx context.Context, m NetworkModel, opts DecompOptions, warm [
 			return NetworkMetrics{}, nil, err
 		}
 		iterations = iter + 1
-		targets := make([]float64, k)
 		residual = 0
 		for i := 0; i < k; i++ {
-			if err := complementRates(m, d, i, lam); err != nil {
+			if err := ws.complementRates(m, d, i); err != nil {
 				return NetworkMetrics{}, nil, err
 			}
-			sol, chainErr := solveStationChain(maps[i], lam, n, m.PhasesRunWhileIdle)
+			sol, chainErr := ws.solveStationChain(i, n)
 			if chainErr != nil {
 				return NetworkMetrics{}, nil, fmt.Errorf("mapqn: station %d (%s): %w", i, m.Stations[i].Name, chainErr)
 			}
-			sol.resExp = exponentialResidence(lam, d[i], n)
 			sols[i] = sol
 
 			// Fixed-point target (Marie's method): calibrate the
@@ -251,16 +326,16 @@ func solveDecomp(ctx context.Context, m NetworkModel, opts DecompOptions, warm [
 	return met, d, nil
 }
 
-// complementRates fills lam[j] with the arrival rate a station sees when
-// it holds j of the N customers: the throughput of the flow-equivalent
-// complement network (Norton's theorem) at population N-j. For K=1 the
-// complement is the bare think pool — rate (N-j)/Z, with the same 1e9
-// sentinel the exact generator uses for Z=0 — so the isolated chain is
-// the exact CTMC. For K>=2 the complement is the think pool plus every
-// other station as an exponential queue at its current effective demand,
-// evaluated by one exact MVA sweep (O(N*K)).
-func complementRates(m NetworkModel, d []float64, station int, lam []float64) error {
-	n := m.Customers
+// complementRates fills ws.lam[j] with the arrival rate a station sees
+// when it holds j of the N customers: the throughput of the
+// flow-equivalent complement network (Norton's theorem) at population
+// N-j. For K=1 the complement is the bare think pool — rate (N-j)/Z,
+// with the same 1e9 sentinel the exact generator uses for Z=0 — so the
+// isolated chain is the exact CTMC. For K>=2 the complement is the think
+// pool plus every other station as an exponential queue at its current
+// effective demand, evaluated by one exact MVA sweep (O(N*K)).
+func (ws *decompWorkspace) complementRates(m NetworkModel, d []float64, station int) error {
+	n, lam := m.Customers, ws.lam
 	if len(m.Stations) == 1 {
 		rate := 1e9
 		if m.ThinkTime > 0 {
@@ -271,79 +346,70 @@ func complementRates(m NetworkModel, d []float64, station int, lam []float64) er
 		}
 		return nil
 	}
-	demands := make([]float64, 0, len(d)-1)
+	demands := ws.demands[:0]
 	for j, dj := range d {
 		if j != station {
 			demands = append(demands, dj)
 		}
 	}
-	res, err := mva.SolveSweep(mva.Network{Demands: demands, ThinkTime: m.ThinkTime}, n)
-	if err != nil {
+	if err := mva.SweepThroughputs(mva.Network{Demands: demands, ThinkTime: m.ThinkTime}, lam, ws.mvaWork); err != nil {
 		return fmt.Errorf("mapqn: complement of station %d: %w", station, err)
 	}
-	for j := 0; j < n; j++ {
-		lam[j] = res[n-j-1].Throughput // complement holds N-j customers
+	// lam holds X(1..N); the station at level j sees the complement
+	// holding N-j customers.
+	for j := 0; j < n/2; j++ {
+		lam[j], lam[n-1-j] = lam[n-1-j], lam[j]
 	}
 	return nil
 }
 
-// solveStationChain computes the stationary distribution of one
-// station's isolated chain: states (j jobs, phase p) for j = 0..n, with
-// arrivals lam[j] (phase-preserving), completions D1, phase changes D0
-// while busy, and the network's idle-phase semantics at j = 0. The chain
-// is block tridiagonal with m-by-m blocks, solved by backward block
-// elimination (censoring levels top-down) in O(n*m^3): no iteration, so
-// there is no convergence failure mode and no state-space blowup.
-func solveStationChain(mp *markov.MAP, lam []float64, n int, idleRun bool) (stationSolution, error) {
+// solveStationChain computes the stationary distribution of station i's
+// isolated chain under arrivals ws.lam: states (j jobs, phase p) for
+// j = 0..n, with arrivals lam[j] (phase-preserving), completions D1,
+// phase changes D0 while busy, and the network's idle-phase semantics at
+// j = 0. The chain is block tridiagonal with m-by-m blocks, solved by
+// backward block elimination (censoring levels top-down) in O(n*m^3): no
+// iteration, so there is no convergence failure mode and no state-space
+// blowup. The returned pi aliases the station's buffer in ws.
+func (ws *decompWorkspace) solveStationChain(i, n int) (stationSolution, error) {
+	ch := &ws.chains[i]
+	mp, lam := ch.mp, ws.lam
 	m := mp.Order()
 	d1 := mp.D1
-	exit := d1.RowSums()
-
-	// Level diagonal blocks. busy[j][t] for 1 <= level < n carries D0
-	// off-diagonals and the D0 diagonal (which already debits D1
-	// departures); the arrival rate is subtracted per level below.
-	aTop := mp.D0.Clone() // level n: no arrivals
-	aZero := matrix.NewDense(m, m)
-	if idleRun {
-		// Idle station with free-running phases: D0+D1 off-diagonals, no
-		// completions (there is no job to complete).
-		for r := 0; r < m; r++ {
-			var out float64
-			for c := 0; c < m; c++ {
-				if c == r {
-					continue
-				}
-				v := mp.D0.At(r, c) + d1.At(r, c)
-				aZero.Set(r, c, v)
-				out += v
-			}
-			aZero.Set(r, r, -out)
-		}
+	for j := range ws.inv {
+		reshape(&ws.inv[j], m)
 	}
+	u, t, next := &ws.u, &ws.t, &ws.next
+	reshape(u, m)
+	reshape(t, m)
+	reshape(next, m)
 
-	// Backward pass: U_n = A_n, U_j = A_j - lam[j] * U_{j+1}^{-1} * D1.
-	// U_j is the generator of the chain censored on levels <= j; for
-	// j >= 1 it leaks probability down through D1 and is nonsingular, so
-	// its inverse both continues the recursion and later expands the
+	// Backward pass: U_n = A_n = D0 (no arrivals at level n),
+	// U_j = A_j - lam[j] * U_{j+1}^{-1} * D1, where A_j carries D0 below
+	// level n (its diagonal already debits D1 departures) and the idle
+	// block aZero at level 0, with the arrival rate subtracted. U_j is
+	// the generator of the chain censored on levels <= j; for j >= 1 it
+	// leaks probability down through D1 and is nonsingular, so its
+	// inverse both continues the recursion and later expands the
 	// solution level by level.
-	inv := make([]*matrix.Dense, n+1)
-	u := aTop
+	copy(u.Data, mp.D0.Data)
 	for j := n; j >= 1; j-- {
-		var err error
-		inv[j], err = matrix.Inverse(u)
-		if err != nil {
+		inv := &ws.inv[j]
+		if err := ws.lu.Factorize(u); err != nil {
 			return stationSolution{}, fmt.Errorf("mapqn: station chain level %d is singular: %w", j, err)
 		}
-		next := inv[j].Mul(d1)
-		u = matrix.NewDense(m, m)
+		if err := ws.lu.InverseTo(inv); err != nil {
+			return stationSolution{}, fmt.Errorf("mapqn: station chain level %d is singular: %w", j, err)
+		}
+		inv.MulTo(next, d1)
+		a := mp.D0
+		if j-1 == 0 {
+			a = ch.aZero
+		}
 		for r := 0; r < m; r++ {
 			for c := 0; c < m; c++ {
 				v := -lam[j-1] * next.At(r, c)
-				if j-1 == 0 {
-					v += aZero.At(r, c)
-				} else {
-					v += mp.D0.At(r, c)
-				}
+				v += a.At(r, c)
 				if r == c {
 					v -= lam[j-1]
 				}
@@ -355,14 +421,22 @@ func solveStationChain(mp *markov.MAP, lam []float64, n int, idleRun bool) (stat
 	// U_0 is the censored generator at level 0 (rows sum to zero):
 	// pi_0 solves pi_0 * U_0 = 0. Normalize via the usual replaced-row
 	// trick on the transpose.
-	t := u.Transpose()
+	for r := 0; r < m; r++ {
+		for c := 0; c < m; c++ {
+			t.Set(c, r, u.At(r, c))
+		}
+	}
+	rhs := ws.rhs[:m]
 	for c := 0; c < m; c++ {
 		t.Set(m-1, c, 1)
+		rhs[c] = 0
 	}
-	rhs := make([]float64, m)
 	rhs[m-1] = 1
-	pi0, err := matrix.Solve(t, rhs)
-	if err != nil {
+	pi := ch.pi
+	if err := ws.lu.Factorize(t); err != nil {
+		return stationSolution{}, fmt.Errorf("mapqn: station chain boundary solve: %w", err)
+	}
+	if err := ws.lu.SolveTo(pi[:m], rhs); err != nil {
 		return stationSolution{}, fmt.Errorf("mapqn: station chain boundary solve: %w", err)
 	}
 
@@ -370,21 +444,18 @@ func solveStationChain(mp *markov.MAP, lam []float64, n int, idleRun bool) (stat
 	// unnormalized mass can span hundreds of decades across levels on a
 	// saturated station, so rescale everything computed so far whenever
 	// the running level grows past 1e250.
-	pi := make([]float64, (n+1)*m)
-	copy(pi[:m], pi0)
 	const rescaleAt = 1e250
 	for j := 1; j <= n; j++ {
-		prev := pi[(j-1)*m : j*m]
-		next := inv[j].VecMul(prev)
+		prev, level := pi[(j-1)*m:j*m], pi[j*m:(j+1)*m]
+		ws.inv[j].VecMulTo(level, prev)
 		maxAbs := 0.0
-		for c, v := range next {
+		for c, v := range level {
 			v *= -lam[j-1]
-			next[c] = v
+			level[c] = v
 			if a := math.Abs(v); a > maxAbs {
 				maxAbs = a
 			}
 		}
-		copy(pi[j*m:(j+1)*m], next)
 		if maxAbs > rescaleAt {
 			for c := range pi[:(j+1)*m] {
 				pi[c] /= rescaleAt
@@ -413,7 +484,7 @@ func solveStationChain(mp *markov.MAP, lam []float64, n int, idleRun bool) (stat
 			pi[j*m+p] = v
 			level += v
 			if j > 0 {
-				sol.x += v * exit[p]
+				sol.x += v * ch.exit[p]
 			}
 		}
 		if j > 0 {

@@ -221,3 +221,32 @@ func TestDecompOptionsValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestDecompAllocations pins the per-solve workspace: a K=6, N=200
+// solve that runs the full 200 fixed-point iterations allocates a fixed
+// handful of buffers (the workspace and the reported metrics), not a
+// count that grows with iterations x stations x levels.
+func TestDecompAllocations(t *testing.T) {
+	stations := []Station{
+		{Name: "lb", MAP: fitMAP(t, 0.002, 4, 0.008)},
+		{Name: "front", MAP: fitMAP(t, 0.004, 40, 0.02)},
+		{Name: "cache", MAP: fitMAP(t, 0.0025, 10, 0.009)},
+		{Name: "app", MAP: fitMAP(t, 0.006, 120, 0.04)},
+		{Name: "search", MAP: fitMAP(t, 0.005, 60, 0.03)},
+		{Name: "db", MAP: fitMAP(t, 0.003, 25, 0.01)},
+	}
+	m := NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: 200}
+	var met NetworkMetrics
+	allocs := testing.AllocsPerRun(2, func() {
+		var err error
+		if met, err = SolveNetworkDecomp(m, DecompOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if met.SolverIterations != decompDefaultMaxIter {
+		t.Fatalf("solve took %d iterations, want the full %d", met.SolverIterations, decompDefaultMaxIter)
+	}
+	if allocs > 100 {
+		t.Errorf("K=6 N=200 decomp solve allocates %v times, want <= 100", allocs)
+	}
+}

@@ -102,10 +102,19 @@ func (m *Dense) Scale(s float64) *Dense {
 
 // Mul returns the matrix product m * other.
 func (m *Dense) Mul(other *Dense) *Dense {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
 	out := NewDense(m.Rows, other.Cols)
+	m.MulTo(out, other)
+	return out
+}
+
+// MulTo overwrites dst with the matrix product m * other. dst must be
+// m.Rows-by-other.Cols and must not share storage with m or other.
+func (m *Dense) MulTo(dst, other *Dense) {
+	if m.Cols != other.Rows || dst.Rows != m.Rows || dst.Cols != other.Cols {
+		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d * %dx%d into %dx%d",
+			m.Rows, m.Cols, other.Rows, other.Cols, dst.Rows, dst.Cols))
+	}
+	clear(dst.Data)
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			a := m.At(i, k)
@@ -113,13 +122,12 @@ func (m *Dense) Mul(other *Dense) *Dense {
 				continue
 			}
 			row := other.Data[k*other.Cols : (k+1)*other.Cols]
-			outRow := out.Data[i*out.Cols : (i+1)*out.Cols]
+			outRow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
 			for j, b := range row {
 				outRow[j] += a * b
 			}
 		}
 	}
-	return out
 }
 
 // MulVec returns the matrix-vector product m * v.
@@ -142,20 +150,27 @@ func (m *Dense) MulVec(v []float64) []float64 {
 // VecMul returns the vector-matrix product v * m (v treated as a row
 // vector). This is the natural operation for probability vectors.
 func (m *Dense) VecMul(v []float64) []float64 {
-	if m.Rows != len(v) {
-		panic(fmt.Sprintf("matrix: VecMul shape mismatch %d * %dx%d", len(v), m.Rows, m.Cols))
-	}
 	out := make([]float64, m.Cols)
+	m.VecMulTo(out, v)
+	return out
+}
+
+// VecMulTo overwrites dst with the vector-matrix product v * m. dst must
+// have length m.Cols and must not share storage with v.
+func (m *Dense) VecMulTo(dst, v []float64) {
+	if m.Rows != len(v) || m.Cols != len(dst) {
+		panic(fmt.Sprintf("matrix: VecMul shape mismatch %d * %dx%d into %d", len(v), m.Rows, m.Cols, len(dst)))
+	}
+	clear(dst)
 	for i, a := range v {
 		if a == 0 {
 			continue
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, b := range row {
-			out[j] += a * b
+			dst[j] += a * b
 		}
 	}
-	return out
 }
 
 // Transpose returns m transposed.
@@ -217,20 +232,43 @@ func (m *Dense) mustSquare() {
 	}
 }
 
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
+// LU holds an LU factorization with partial pivoting: P*A = L*U. The
+// zero value is an empty factorization ready for Factorize.
 type LU struct {
-	lu    *Dense
+	lu    Dense
 	pivot []int
 	signP float64
+	work  []float64 // InverseTo's unit-vector and column scratch
 }
 
 // Factor computes the LU factorization of square matrix a with partial
 // pivoting. It returns ErrSingular for numerically singular input.
 func Factor(a *Dense) (*LU, error) {
+	f := &LU{}
+	if err := f.Factorize(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factorize overwrites f with the LU factorization of square matrix a,
+// reusing f's storage when it is large enough, so repeated
+// factorizations of same-order matrices allocate nothing. It returns
+// ErrSingular for numerically singular input, leaving f unusable until
+// the next successful Factorize.
+func (f *LU) Factorize(a *Dense) error {
 	a.mustSquare()
 	n := a.Rows
-	lu := a.Clone()
-	pivot := make([]int, n)
+	if cap(f.lu.Data) < n*n {
+		f.lu.Data = make([]float64, n*n)
+	}
+	if cap(f.pivot) < n {
+		f.pivot = make([]int, n)
+	}
+	f.lu = Dense{Rows: n, Cols: n, Data: f.lu.Data[:n*n]}
+	f.pivot = f.pivot[:n]
+	lu, pivot := &f.lu, f.pivot
+	copy(lu.Data, a.Data)
 	sign := 1.0
 	for i := range pivot {
 		pivot[i] = i
@@ -245,7 +283,7 @@ func Factor(a *Dense) (*LU, error) {
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != col {
 			for j := 0; j < n; j++ {
@@ -266,16 +304,29 @@ func Factor(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, signP: sign}, nil
+	f.signP = sign
+	return nil
 }
 
 // Solve solves A*x = b using the factorization.
 func (f *LU) Solve(b []float64) ([]float64, error) {
+	x := make([]float64, f.lu.Rows)
+	if err := f.SolveTo(x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveTo solves A*x = b into x using the factorization. x must have
+// the matrix order as length and must not share storage with b.
+func (f *LU) SolveTo(x, b []float64) error {
 	n := f.lu.Rows
 	if len(b) != n {
-		return nil, fmt.Errorf("matrix: Solve rhs length %d, want %d", len(b), n)
+		return fmt.Errorf("matrix: Solve rhs length %d, want %d", len(b), n)
 	}
-	x := make([]float64, n)
+	if len(x) != n {
+		return fmt.Errorf("matrix: Solve solution length %d, want %d", len(x), n)
+	}
 	for i := 0; i < n; i++ {
 		x[i] = b[f.pivot[i]]
 	}
@@ -292,11 +343,11 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 		d := f.lu.At(i, i)
 		if d == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		x[i] /= d
 	}
-	return x, nil
+	return nil
 }
 
 // Det returns the determinant from the factorization.
@@ -319,28 +370,42 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 
 // Inverse returns A^{-1}, or ErrSingular.
 func Inverse(a *Dense) (*Dense, error) {
-	a.mustSquare()
-	n := a.Rows
 	f, err := Factor(a)
 	if err != nil {
 		return nil, err
 	}
-	inv := NewDense(n, n)
-	e := make([]float64, n)
+	inv := NewDense(a.Rows, a.Rows)
+	if err := f.InverseTo(inv); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// InverseTo overwrites dst with A^{-1}, solving one unit vector per
+// column with the factorization. dst must be square of the matrix order.
+// The column scratch lives in f, so repeated inverses allocate nothing.
+func (f *LU) InverseTo(dst *Dense) error {
+	n := f.lu.Rows
+	if dst.Rows != n || dst.Cols != n {
+		panic(fmt.Sprintf("matrix: InverseTo %dx%d destination for order %d", dst.Rows, dst.Cols, n))
+	}
+	if cap(f.work) < 2*n {
+		f.work = make([]float64, 2*n)
+	}
+	e, col := f.work[:n], f.work[n:2*n]
 	for j := 0; j < n; j++ {
 		for i := range e {
 			e[i] = 0
 		}
 		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
+		if err := f.SolveTo(col, e); err != nil {
+			return err
 		}
 		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
+			dst.Set(i, j, col[i])
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 // Expm returns the matrix exponential e^A computed with the

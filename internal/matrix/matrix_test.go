@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,6 +111,105 @@ func TestInverseKnown(t *testing.T) {
 	if !denseAlmostEqual(inv, want, 1e-12) {
 		t.Errorf("Inverse = \n%v want \n%v", inv, want)
 	}
+}
+
+// TestInPlaceKernels pins the caller-buffer forms against the allocating
+// ones bit for bit — dirty destinations included — and checks that one
+// LU reused across matrices of different orders allocates nothing once
+// it has grown to the largest.
+func TestInPlaceKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var f LU
+	dst, vdst, x := NewDense(6, 6), make([]float64, 6), make([]float64, 6)
+	for _, n := range []int{6, 1, 4, 2, 6} {
+		a, b := randomDense(rng, n), randomDense(rng, n)
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		v[0] = 0 // exercises the zero-skip path
+		d := &Dense{Rows: n, Cols: n, Data: dst.Data[:n*n]}
+		for i := range d.Data {
+			d.Data[i] = math.NaN()
+		}
+
+		a.MulTo(d, b)
+		if !bitsEqual(d.Data, a.Mul(b).Data) {
+			t.Errorf("n=%d: MulTo differs from Mul", n)
+		}
+		vd := vdst[:n]
+		vd[0] = math.NaN()
+		a.VecMulTo(vd, v)
+		if !bitsEqual(vd, a.VecMul(v)) {
+			t.Errorf("n=%d: VecMulTo differs from VecMul", n)
+		}
+
+		if err := f.Factorize(a); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Det() != ref.Det() {
+			t.Errorf("n=%d: reused Det %v, want %v", n, f.Det(), ref.Det())
+		}
+		if err := f.SolveTo(x[:n], v); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Solve(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(x[:n], want) {
+			t.Errorf("n=%d: SolveTo differs from Solve", n)
+		}
+		if err := f.InverseTo(d); err != nil {
+			t.Fatal(err)
+		}
+		inv, err := Inverse(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(d.Data, inv.Data) {
+			t.Errorf("n=%d: InverseTo differs from Inverse", n)
+		}
+	}
+
+	a := randomDense(rng, 4)
+	d := &Dense{Rows: 4, Cols: 4, Data: dst.Data[:16]}
+	allocs := testing.AllocsPerRun(20, func() {
+		a.MulTo(d, a)
+		a.VecMulTo(vdst[:4], x[:4])
+		if err := f.Factorize(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SolveTo(x[:4], vdst[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.InverseTo(d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("in-place kernels allocate %v times per run, want 0", allocs)
+	}
+
+	if err := f.Factorize(NewDense(3, 3)); !errors.Is(err, ErrSingular) {
+		t.Errorf("Factorize(zero) = %v, want ErrSingular", err)
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Property: A * A^{-1} = I for random well-conditioned matrices.

@@ -101,11 +101,8 @@ func Solve(net Network, n int) (Result, error) {
 // population 1..n (index 0 holds population 1). A single sweep is how
 // capacity plans explore "what if the number of EBs grows".
 func SolveSweep(net Network, n int) ([]Result, error) {
-	if err := net.Validate(); err != nil {
+	if err := validateSweep(net, n); err != nil {
 		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("mva: population %d must be >= 1", n)
 	}
 	m := len(net.Demands)
 	q := make([]float64, m) // queue lengths at previous population
@@ -117,21 +114,59 @@ func SolveSweep(net Network, n int) ([]Result, error) {
 			Residence:    make([]float64, m),
 			Utilizations: make([]float64, m),
 		}
-		rTotal := 0.0
+		res.Throughput, res.ResponseTime = step(net, pop, q, res.Residence)
+		copy(res.QueueLengths, q)
 		for i := 0; i < m; i++ {
-			res.Residence[i] = net.Demands[i] * (1 + q[i])
-			rTotal += res.Residence[i]
-		}
-		res.ResponseTime = rTotal
-		res.Throughput = float64(pop) / (net.ThinkTime + rTotal)
-		for i := 0; i < m; i++ {
-			res.QueueLengths[i] = res.Throughput * res.Residence[i]
 			res.Utilizations[i] = res.Throughput * net.Demands[i]
-			q[i] = res.QueueLengths[i]
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// SweepThroughputs runs the same recursion as SolveSweep but keeps only
+// the throughput: x[p-1] receives the throughput at population p for
+// p = 1..len(x). scratch must hold at least 2*len(net.Demands) values
+// and is overwritten. It returns SolveSweep's validation errors and
+// allocates nothing on success, for callers that re-solve many
+// networks in an inner loop.
+func SweepThroughputs(net Network, x, scratch []float64) error {
+	if err := validateSweep(net, len(x)); err != nil {
+		return err
+	}
+	m := len(net.Demands)
+	q, residence := scratch[:m], scratch[m:2*m]
+	clear(q)
+	for pop := range x {
+		x[pop], _ = step(net, pop+1, q, residence)
+	}
+	return nil
+}
+
+func validateSweep(net Network, n int) error {
+	if err := net.Validate(); err != nil {
+		return err
+	}
+	if n < 1 {
+		return fmt.Errorf("mva: population %d must be >= 1", n)
+	}
+	return nil
+}
+
+// step advances the exact MVA recursion to population pop: given the
+// queue lengths q at pop-1, it fills residence with the per-station
+// residence times at pop, overwrites q with the queue lengths at pop and
+// returns the throughput and the total residence time.
+func step(net Network, pop int, q, residence []float64) (x, rTotal float64) {
+	for i, d := range net.Demands {
+		residence[i] = d * (1 + q[i])
+		rTotal += residence[i]
+	}
+	x = float64(pop) / (net.ThinkTime + rTotal)
+	for i := range net.Demands {
+		q[i] = x * residence[i]
+	}
+	return x, rTotal
 }
 
 // SolveApprox runs the Schweitzer/Bard approximate MVA, which avoids the

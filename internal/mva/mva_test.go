@@ -73,6 +73,53 @@ func TestSolveWithThinkTime(t *testing.T) {
 	}
 }
 
+// TestSweepThroughputsMatchesSolveSweep pins the throughput-only sweep
+// to SolveSweep bit for bit, checks it reports the same validation
+// errors and that it allocates nothing on success.
+func TestSweepThroughputsMatchesSolveSweep(t *testing.T) {
+	net := Network{Demands: []float64{0.004, 0.007, 0.0025}, ThinkTime: 0.5}
+	const n = 120
+	want, err := SolveSweep(net, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, scratch := make([]float64, n), make([]float64, 2*len(net.Demands))
+	for i := range scratch {
+		scratch[i] = math.NaN() // must not leak into the recursion
+	}
+	if err := SweepThroughputs(net, x, scratch); err != nil {
+		t.Fatal(err)
+	}
+	for p, r := range want {
+		if math.Float64bits(x[p]) != math.Float64bits(r.Throughput) {
+			t.Fatalf("N=%d: X=%v, SolveSweep X=%v", p+1, x[p], r.Throughput)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := SweepThroughputs(net, x, scratch); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("SweepThroughputs allocates %v times per run, want 0", allocs)
+	}
+	for _, c := range []struct {
+		net Network
+		n   int
+	}{
+		{Network{}, 3},
+		{Network{Demands: []float64{-1}}, 3},
+		{Network{Demands: []float64{1}, ThinkTime: -1}, 3},
+		{Network{Demands: []float64{0, 0}}, 3},
+		{net, 0},
+	} {
+		_, wantErr := SolveSweep(c.net, c.n)
+		gotErr := SweepThroughputs(c.net, make([]float64, c.n), scratch)
+		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("%+v N=%d: error %v, SolveSweep error %v", c.net, c.n, gotErr, wantErr)
+		}
+	}
+}
+
 func TestSolveValidation(t *testing.T) {
 	if _, err := Solve(Network{}, 5); err == nil {
 		t.Error("expected error for empty network")

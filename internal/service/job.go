@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -122,20 +123,66 @@ func (j *job) Status() JobStatus {
 // snapshot to subscribers.
 func (j *job) update(fn func(*JobStatus)) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	fn(&j.status)
-	data, err := json.Marshal(j.status)
-	j.mu.Unlock()
-	if err == nil {
-		j.publish(event{kind: "status", data: data})
+	j.publishStatusLocked()
+}
+
+// settle moves the job to a rest state in one critical section: it
+// applies fn, publishes the snapshot, writes the status file when the
+// new state is terminal, and closes every subscriber. A rerun Submit
+// takes the same lock, so it sees the previous run either still active
+// or completely settled: the old run can neither close the new run's
+// followers nor rewrite the status file after the rerun's reset.
+func (j *job) settle(fn func(*JobStatus)) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	fn(&j.status)
+	j.publishStatusLocked()
+	var err error
+	if j.status.State.Terminal() {
+		err = writeStatusFile(j.dir, j.status)
+	}
+	for id, ch := range j.subs {
+		close(ch)
+		delete(j.subs, id)
+	}
+	return err
+}
+
+// reset discards a terminal job's spooled rows and status file and
+// re-queues it. The files go under the job lock, so no follower sees
+// the terminal state without its rows.
+func (j *job) reset() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, path := range []string{j.rows, filepath.Join(j.dir, "status.json")} {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("service: reset spool: %w", err)
+		}
+	}
+	st := &j.status
+	st.State = JobQueued
+	st.Done, st.Skipped, st.Failed = 0, 0, 0
+	st.Error = ""
+	st.Memo = nil
+	st.StartedAt, st.FinishedAt = nil, nil
+	st.SubmittedAt = time.Now().UTC()
+	j.publishStatusLocked()
+	return nil
+}
+
+func (j *job) publishStatusLocked() {
+	if data, err := json.Marshal(j.status); err == nil {
+		j.publishLocked(event{kind: "status", data: data})
 	}
 }
 
-// publish fans an event out to every subscriber. A subscriber whose
-// buffer is full is dropped (channel closed): a follower that cannot
-// keep up re-fetches the spool file rather than stalling the suite.
-func (j *job) publish(ev event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// publishLocked fans an event out to every subscriber; the caller holds
+// j.mu. A subscriber whose buffer is full is dropped (channel closed): a
+// follower that cannot keep up re-fetches the spool file rather than
+// stalling the suite.
+func (j *job) publishLocked(ev event) {
 	for id, ch := range j.subs {
 		select {
 		case ch <- ev:
@@ -174,16 +221,6 @@ func (j *job) subscribe() (spooled []byte, ch chan event, cancel func(), termina
 		}
 	}
 	return data, ch, cancel, false
-}
-
-// closeSubs closes every subscriber channel (job reached a rest state).
-func (j *job) closeSubs() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for id, ch := range j.subs {
-		close(ch)
-		delete(j.subs, id)
-	}
 }
 
 // spoolSink streams suite rows to the job's rows.jsonl and to live
@@ -236,14 +273,7 @@ func (s *spoolSink) Write(row core.SuiteRow) error {
 	s.j.mu.Lock()
 	_, werr := s.f.Write(line)
 	if werr == nil {
-		for id, ch := range s.j.subs {
-			select {
-			case ch <- event{kind: "row", data: data}:
-			default:
-				close(ch)
-				delete(s.j.subs, id)
-			}
-		}
+		s.j.publishLocked(event{kind: "row", data: data})
 	}
 	s.j.mu.Unlock()
 	if werr != nil {

@@ -199,20 +199,9 @@ func (s *Service) Submit(data []byte, rerun bool) (JobStatus, bool, error) {
 		if len(s.queue) == cap(s.queue) {
 			return JobStatus{}, false, ErrQueueFull
 		}
-		if err := os.Remove(j.rows); err != nil && !os.IsNotExist(err) {
-			return JobStatus{}, false, fmt.Errorf("service: reset spool: %w", err)
+		if err := j.reset(); err != nil {
+			return JobStatus{}, false, err
 		}
-		if err := os.Remove(filepath.Join(j.dir, "status.json")); err != nil && !os.IsNotExist(err) {
-			return JobStatus{}, false, fmt.Errorf("service: reset spool: %w", err)
-		}
-		j.update(func(st *JobStatus) {
-			st.State = JobQueued
-			st.Done, st.Skipped, st.Failed = 0, 0, 0
-			st.Error = ""
-			st.Memo = nil
-			st.StartedAt, st.FinishedAt = nil, nil
-			st.SubmittedAt = time.Now().UTC()
-		})
 		s.queue <- j
 		return j.Status(), true, nil
 	}
@@ -406,11 +395,10 @@ func (s *Service) runJob(j *job) {
 	if err != nil {
 		if core.IsCancellation(err) {
 			stats := view.Stats()
-			j.update(func(st *JobStatus) {
+			s.settle(j, func(st *JobStatus) {
 				st.State = JobInterrupted
 				st.Memo = &stats
 			})
-			j.closeSubs()
 			s.cfg.Logf("job %s: checkpointed after %d cells", shortID(j.id), j.Status().Done)
 			return
 		}
@@ -420,7 +408,7 @@ func (s *Service) runJob(j *job) {
 
 	finished := time.Now().UTC()
 	stats := rep.Memo
-	j.update(func(st *JobStatus) {
+	s.settle(j, func(st *JobStatus) {
 		st.State = JobDone
 		st.Done = rep.Cells
 		st.Skipped = rep.Skipped
@@ -428,8 +416,6 @@ func (s *Service) runJob(j *job) {
 		st.Memo = &stats
 		st.FinishedAt = &finished
 	})
-	s.persistStatus(j)
-	j.closeSubs()
 	s.cfg.Logf("job %s: done (%d cells, %d skipped, %d failed, %d memo hits / %d misses)",
 		shortID(j.id), rep.Cells, rep.Skipped, rep.Failed, stats.Hits(), stats.Misses())
 }
@@ -438,7 +424,7 @@ func (s *Service) runJob(j *job) {
 func (s *Service) finishJob(j *job, view *core.Memo, err error) {
 	finished := time.Now().UTC()
 	stats := view.Stats()
-	j.update(func(st *JobStatus) {
+	s.settle(j, func(st *JobStatus) {
 		st.State = JobFailed
 		st.Error = err.Error()
 		if view != nil {
@@ -446,27 +432,32 @@ func (s *Service) finishJob(j *job, view *core.Memo, err error) {
 		}
 		st.FinishedAt = &finished
 	})
-	s.persistStatus(j)
-	j.closeSubs()
 	s.cfg.Logf("job %s: failed: %v", shortID(j.id), err)
 }
 
-// persistStatus writes the job's terminal status file atomically
+// settle moves the job to a rest state, persisting a terminal one, and
+// closes its followers (job.settle), logging a status-file failure.
+func (s *Service) settle(j *job, fn func(*JobStatus)) {
+	if err := j.settle(fn); err != nil {
+		s.cfg.Logf("job %s: %v", shortID(j.id), err)
+	}
+}
+
+// writeStatusFile writes a job's terminal status file atomically
 // (temp + rename), so recovery never sees a torn status.
-func (s *Service) persistStatus(j *job) {
-	data, err := core.CanonicalJSON(j.Status())
+func writeStatusFile(dir string, st JobStatus) error {
+	data, err := core.CanonicalJSON(st)
 	if err != nil {
-		s.cfg.Logf("job %s: encode status: %v", shortID(j.id), err)
-		return
+		return fmt.Errorf("encode status: %w", err)
 	}
-	tmp := filepath.Join(j.dir, ".status.json.tmp")
+	tmp := filepath.Join(dir, ".status.json.tmp")
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		s.cfg.Logf("job %s: write status: %v", shortID(j.id), err)
-		return
+		return fmt.Errorf("write status: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, "status.json")); err != nil {
-		s.cfg.Logf("job %s: write status: %v", shortID(j.id), err)
+	if err := os.Rename(tmp, filepath.Join(dir, "status.json")); err != nil {
+		return fmt.Errorf("write status: %w", err)
 	}
+	return nil
 }
 
 func readStatusFile(dir string) (JobStatus, error) {

@@ -499,3 +499,107 @@ func TestRecoveryRegistersTerminalJobs(t *testing.T) {
 		t.Fatalf("resubmit after recovery: started=%v state=%s, want existing done job", started, st2.State)
 	}
 }
+
+// TestRerunFollowSeesFooter is the regression test for the rerun
+// follower race: a finishing run used to publish its terminal status
+// before writing the status file and closing its followers, so a
+// ?rerun=1 submit landing in between had its new follower closed by the
+// old run, and that stream ended with no rows. Eight clients, each on its
+// own job, run several hundred rerun+follow rounds; every first follow
+// must end with the footer row.
+func TestRerunFollowSeesFooter(t *testing.T) {
+	svc := newTestService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	const clients, rounds = 8, 150
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		suite := testSuite(fmt.Sprintf("rerun-race-%d", c), 5)
+		suite.Base.Solvers = []core.SolverKind{core.SolverMVA, core.SolverBounds}
+		spec := string(mustJSONSuite(t, suite))
+		go func() {
+			errs <- func() error {
+				for r := 0; r < rounds; r++ {
+					resp, err := http.Post(ts.URL+"/api/v1/jobs?rerun=1", "application/json", strings.NewReader(spec))
+					if err != nil {
+						return err
+					}
+					var st JobStatus
+					err = json.NewDecoder(resp.Body).Decode(&st)
+					resp.Body.Close()
+					if err != nil {
+						return fmt.Errorf("round %d: submit: %w", r, err)
+					}
+					follow, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/rows?follow=1")
+					if err != nil {
+						return err
+					}
+					body := readAll(t, follow)
+					follow.Body.Close()
+					if !strings.Contains(body, `"status":"`+core.CellStatusFooter+`"`) {
+						return fmt.Errorf("round %d: first follow ended without the footer row: %q", r, body)
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range svc.Jobs() {
+		disk, err := readStatusFile(filepath.Join(svc.cfg.SpoolDir, st.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if disk.State != JobDone || disk.Runs != st.Runs {
+			t.Errorf("job %s: status file %q after %d runs, in memory %q after %d", st.ID, disk.State, disk.Runs, st.State, st.Runs)
+		}
+	}
+}
+
+// TestSubmitRefusesHugeGrid is the regression test for the submit-time
+// OOM: a 78 KB suite with three 3,000-value axes (2.7e10 cells) is
+// refused with a 4xx instead of being expanded, and the daemon keeps
+// serving.
+func TestSubmitRefusesHugeGrid(t *testing.T) {
+	svc := newTestService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	values := func(start float64) []float64 {
+		out := make([]float64, 3000)
+		for i := range out {
+			out[i] = (start*1e3 + float64(i)) / 1e3
+		}
+		return out
+	}
+	suite := testSuite("huge", 5)
+	suite.Grid = core.Grid{
+		TierAxes: []core.TierAxis{
+			{Tier: 0, Param: core.TierParamMean, Values: values(0.006)},
+			{Tier: 1, Param: core.TierParamI, Values: values(40)},
+		},
+		ThinkTimes: values(0.5),
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(string(mustJSONSuite(t, suite))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 || !strings.Contains(body, "cell limit") {
+		t.Fatalf("huge grid submit = %d %q, want a 4xx naming the cell limit", resp.StatusCode, body)
+	}
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK || len(svc.Jobs()) != 0 {
+		t.Fatalf("after the refused submit: healthz %d, %d jobs", health.StatusCode, len(svc.Jobs()))
+	}
+}
