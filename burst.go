@@ -49,13 +49,10 @@
 // stations (front, app tiers, database, ...) plus the think-time delay
 // station, solved exactly over the CTMC on states
 // (n_1..n_K, phase_1..phase_K). The paper's two-tier front+DB model is
-// the K=2 special case. Alongside Run, the canonical imperative surface
-// is context-aware and N-tier with no suffix: SolveNetwork,
-// SolveNetworkSweep, Simulate, SimulateReplicas, CrossValidate. The
-// historical function-per-step families — two-tier (NewPlan,
-// SolveMAPNetwork, SimulateTPCW, ...) and *N-suffixed (NewPlanN,
-// SolveMAPNetworkN, ...) — remain as deprecated thin wrappers over the
-// same machinery.
+// the K=2 case. Alongside Run, the imperative surface has one
+// context-aware entry point per operation: SolveNetwork,
+// SolveNetworkSweep, SolveNetworkDecomp, SolveNetworkDecompSweep,
+// Simulate, SimulateReplicas and CrossValidate.
 //
 // See the examples/ directory for complete programs
 // (examples/scenariofile for the declarative path).
@@ -102,26 +99,18 @@ type (
 	// (mean, I, p95).
 	Characterization = inference.Characterization
 
-	// Plan is a parameterized two-tier capacity-planning model.
-	Plan = core.Plan
 	// PlanN is the N-tier capacity-planning model (one Tier per layer).
 	PlanN = core.PlanN
 	// Tier is one characterized-and-fitted tier of a PlanN.
 	Tier = core.Tier
 	// PlannerOptions tunes plan construction.
 	PlannerOptions = core.PlannerOptions
-	// Prediction holds MAP-model and MVA metrics at one population.
-	Prediction = core.Prediction
 	// PredictionN holds per-station MAP-model and MVA metrics at one
 	// population of an N-tier plan.
 	PredictionN = core.PredictionN
 	// Accuracy compares predictions against measurements.
 	Accuracy = core.Accuracy
 
-	// MAPNetworkModel is the two-station MAP queueing network of the paper.
-	MAPNetworkModel = mapqn.Model
-	// MAPNetworkMetrics is its exact solution.
-	MAPNetworkMetrics = mapqn.Metrics
 	// Station is one queueing station of an N-tier MAP network.
 	Station = mapqn.Station
 	// MAPNetworkModelN is the closed K-station MAP queueing network.
@@ -160,10 +149,6 @@ type (
 	// TPCWWorkloadClass groups testbed transaction types into one class.
 	TPCWWorkloadClass = tpcw.WorkloadClass
 
-	// TPCWConfig parameterizes a TPC-W testbed simulation.
-	TPCWConfig = tpcw.Config
-	// TPCWResult is a testbed run's measurements.
-	TPCWResult = tpcw.Result
 	// TPCWMix is one of the standard transaction mixes.
 	TPCWMix = tpcw.Mix
 	// TPCWConfigN parameterizes an N-tier TPC-W testbed simulation.
@@ -249,94 +234,9 @@ func FitMAP2(mean, indexOfDispersion, p95 float64, opts FitOptions) (FitResult, 
 	return markov.FitThreePoint(mean, indexOfDispersion, p95, opts)
 }
 
-// NewPlan builds the paper's capacity-planning model from front and DB
-// monitoring samples, to be evaluated at think time thinkTime.
-//
-// Deprecated: declare a two-tier Scenario (TierSpec.Samples per tier)
-// and use Run, which returns the same MAP and MVA predictions in a
-// unified Report.
-func NewPlan(front, db UtilizationSamples, thinkTime float64, opts PlannerOptions) (*Plan, error) {
-	return core.BuildPlan(front, db, thinkTime, opts)
-}
-
-// NewPlanFromCharacterizations builds a plan from pre-computed
-// characterizations (useful when measurements were processed elsewhere).
-//
-// Deprecated: declare a two-tier Scenario with explicit TierSpec
-// characterizations (Mean, IndexOfDispersion, P95) and use Run.
-func NewPlanFromCharacterizations(front, db Characterization, thinkTime float64, opts PlannerOptions) (*Plan, error) {
-	return core.BuildPlanFromCharacterizations(front, db, thinkTime, opts)
-}
-
-// NewPlanN builds an N-tier capacity-planning model from one set of
-// monitoring samples per tier (in visit order: front first, database
-// last), to be evaluated at think time thinkTime. Tier labels come from
-// opts.TierNames when set.
-//
-// Deprecated: declare a Scenario (one TierSpec per tier) and use Run.
-func NewPlanN(tiers []UtilizationSamples, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
-	return core.BuildPlanN(tiers, thinkTime, opts)
-}
-
-// NewPlanNFromCharacterizations builds an N-tier plan from pre-computed
-// per-tier characterizations.
-//
-// Deprecated: declare a Scenario with explicit TierSpec
-// characterizations and use Run.
-func NewPlanNFromCharacterizations(tiers []Characterization, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
-	return core.BuildPlanNFromCharacterizations(tiers, thinkTime, opts)
-}
-
-// SolveMAPNetwork solves the closed two-station MAP queueing network
-// exactly.
-//
-// Deprecated: use SolveNetwork with a K=2 MAPNetworkModelN (see
-// MAPNetworkModel.Network for the conversion), or run a Scenario.
-func SolveMAPNetwork(m MAPNetworkModel, opts SolverOptions) (MAPNetworkMetrics, error) {
-	return mapqn.Solve(m, opts)
-}
-
-// SolveMAPNetworkN solves a closed K-station MAP queueing network
-// exactly, returning per-station metrics.
-//
-// Deprecated: use SolveNetwork, which adds context cancellation.
-func SolveMAPNetworkN(m MAPNetworkModelN, opts SolverOptions) (MAPNetworkMetricsN, error) {
-	return mapqn.SolveNetwork(m, opts)
-}
-
-// SolveMAPNetworkSweepN solves a K-station MAP network at each
-// population in customers as one warm-started sweep: every solve after
-// the first is seeded with the previous population's stationary vector
-// embedded into the larger state space, which typically converges in a
-// fraction of the cold-start iterations while meeting the same residual
-// tolerance.
-//
-// Deprecated: use SolveNetworkSweep, which adds context cancellation
-// and per-population progress, or run a Scenario (Run sweeps
-// warm-started automatically).
-func SolveMAPNetworkSweepN(stations []Station, thinkTime float64, customers []int, opts SolverOptions) ([]MAPNetworkMetricsN, error) {
-	return mapqn.SolveNetworkSweep(stations, thinkTime, customers, opts)
-}
-
-// SolveMVA solves the classical MVA baseline at population n.
-//
-// Deprecated: run a Scenario with SolverMVA, which evaluates the
-// baseline across the whole population sweep.
-func SolveMVA(frontDemand, dbDemand, thinkTime float64, n int) (MVAResult, error) {
-	return mva.Solve(mva.Model(frontDemand, dbDemand, thinkTime), n)
-}
-
-// SolveMVAN solves the K-station MVA baseline (one demand per tier) at
-// population n.
-//
-// Deprecated: run a Scenario with SolverMVA.
-func SolveMVAN(demands []float64, thinkTime float64, n int) (MVAResult, error) {
-	return mva.Solve(mva.ModelN(demands, nil, thinkTime), n)
-}
-
 // SolveMulticlass runs exact multiclass MVA at the given per-class
 // population vector. A one-class network with the single-class demands
-// reproduces SolveMVAN exactly (pinned by test).
+// reproduces single-class MVA exactly (pinned by test).
 func SolveMulticlass(net MultiNetwork, population []int) (MultiResult, error) {
 	return mva.SolveMulticlass(net, population)
 }
@@ -348,51 +248,11 @@ func SolveMulticlassApprox(net MultiNetwork, population []int, tol float64) (Mul
 	return mva.SolveMulticlassApprox(net, population, tol)
 }
 
-// SimulateTPCW runs the TPC-W testbed simulator.
-//
-// Deprecated: use Simulate with a TPCWConfigN (DefaultTPCWTiers builds
-// the two-tier spec), or run a Scenario with SolverSim.
-func SimulateTPCW(cfg TPCWConfig) (*TPCWResult, error) {
-	return tpcw.Run(cfg)
-}
-
-// SimulateTPCWN runs the N-tier TPC-W testbed simulator: a routed
-// multi-station pipeline where each tier is a processor-sharing server
-// with its own Markov-modulated contention environment.
-//
-// Deprecated: use Simulate, which adds context cancellation.
-func SimulateTPCWN(cfg TPCWConfigN) (*TPCWResultN, error) {
-	return tpcw.RunN(cfg)
-}
-
-// SimulateTPCWReplicas runs replicas independently seeded copies of an
-// N-tier simulation across goroutines (workers <= 0 uses GOMAXPROCS) and
-// returns mean ± 95% confidence intervals plus pooled per-tier samples.
-//
-// Deprecated: use SimulateReplicas, which adds context cancellation and
-// replica progress, or run a Scenario with SolverSim.
-func SimulateTPCWReplicas(cfg TPCWConfigN, replicas, workers int) (*TPCWReplicaResult, error) {
-	return tpcw.RunReplicas(cfg, replicas, workers)
-}
-
 // DefaultTPCWTiers builds a K-tier testbed specification (K >= 2) from
 // the default transaction profiles: front, K-2 application tiers, and the
 // database with the mix's contention environment.
 func DefaultTPCWTiers(mix TPCWMix, k int) ([]TPCWTierConfig, error) {
 	return tpcw.DefaultTiers(mix, k)
-}
-
-// CrossValidateTPCW closes the paper's measure → characterize → fit →
-// model loop against the simulated N-tier testbed: it simulates
-// (replicated), characterizes every tier from the simulated coarse
-// samples, solves the exact K-station MAP network and the MVA baseline at
-// the simulated population, and reports the model errors.
-//
-// Deprecated: use CrossValidate, which adds context cancellation, or
-// run a Scenario with SolverCrossValidate to sweep whole population
-// ranges.
-func CrossValidateTPCW(cfg TPCWConfigN, opts ValidationOptions) (*ValidationReport, error) {
-	return validate.CrossValidate(cfg, opts)
 }
 
 // BrowsingMix, ShoppingMix and OrderingMix return the standard TPC-W
@@ -420,27 +280,6 @@ func HurstParameter(t Trace) (float64, error) {
 		return 0, err
 	}
 	return est.H, nil
-}
-
-// ModelBounds brackets the MAP network's throughput with two O(N)
-// product-form evaluations — usable at populations far beyond exact CTMC
-// reach (the paper's Section 4.2 scenario of ~1200 EBs at Z = 7 s).
-//
-// Deprecated: run a Scenario with SolverBounds.
-func ModelBounds(m MAPNetworkModel) (MAPNetworkBounds, error) {
-	return mapqn.Bounds(m)
-}
-
-// MAPNetworkBounds is the result of ModelBounds.
-type MAPNetworkBounds = mapqn.BoundsResult
-
-// ModelBoundsN brackets an N-tier MAP network's throughput with two
-// O(N*K) product-form evaluations — usable at populations far beyond
-// exact CTMC reach.
-//
-// Deprecated: run a Scenario with SolverBounds.
-func ModelBoundsN(m MAPNetworkModelN) (MAPNetworkBoundsN, error) {
-	return mapqn.NetworkBounds(m)
 }
 
 // FitMMPP2FromCounts fits a two-state MMPP from counting statistics:

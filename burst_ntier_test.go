@@ -1,8 +1,11 @@
 package burst
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/mva"
 )
 
 // synthTierSamples fabricates monitoring data for one tier: per-window
@@ -75,24 +78,29 @@ func TestFacadeThreeTierEndToEnd(t *testing.T) {
 			chars[1].IndexOfDispersion, chars[0].IndexOfDispersion)
 	}
 
-	plan, err := NewPlanN(tiers, 0.5, PlannerOptions{
-		TierNames: []string{"front", "app", "db"},
-		Solver:    SolverOptions{Tol: 1e-8},
+	ctx := context.Background()
+	rep, err := Run(ctx, Scenario{
+		ThinkTime:   0.5,
+		Populations: []int{5, 12, 24},
+		Tiers: []TierSpec{
+			{Name: "front", Samples: &tiers[0]},
+			{Name: "app", Samples: &tiers[1]},
+			{Name: "db", Samples: &tiers[2]},
+		},
+		Solvers: []SolverKind{SolverMAP, SolverMVA, SolverBounds},
+		Planner: &PlannerOptions{Solver: SolverOptions{Tol: 1e-8}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{5, 12, 24})
-	if err != nil {
-		t.Fatal(err)
-	}
+	preds := rep.Results
 	prev := 0.0
 	for _, p := range preds {
 		if len(p.MAP.Utils) != 3 || len(p.MAP.QueueDists) != 3 {
 			t.Fatalf("per-station metrics missing: %+v", p.MAP)
 		}
 		if p.MAP.Throughput <= 0 || p.MAP.Throughput < prev-1e-9 {
-			t.Errorf("implausible throughput sequence at %d EBs: %v", p.EBs, p.MAP.Throughput)
+			t.Errorf("implausible throughput sequence at %d EBs: %v", p.Population, p.MAP.Throughput)
 		}
 		prev = p.MAP.Throughput
 		for s, dist := range p.MAP.QueueDists {
@@ -101,57 +109,56 @@ func TestFacadeThreeTierEndToEnd(t *testing.T) {
 				sum += q
 			}
 			if math.Abs(sum-1) > 1e-6 {
-				t.Errorf("%d EBs: station %d distribution sums to %v", p.EBs, s, sum)
+				t.Errorf("%d EBs: station %d distribution sums to %v", p.Population, s, sum)
 			}
 		}
 		if p.MAP.Throughput > p.MVA.Throughput*1.01 {
-			t.Errorf("%d EBs: MAP X %v exceeds MVA baseline %v", p.EBs, p.MAP.Throughput, p.MVA.Throughput)
+			t.Errorf("%d EBs: MAP X %v exceeds MVA baseline %v", p.Population, p.MAP.Throughput, p.MVA.Throughput)
 		}
 	}
 
-	// The same three tiers solved directly through the network facade.
-	met, err := SolveMAPNetworkN(MAPNetworkModelN{
-		Stations: []Station{
-			{Name: "front", MAP: plan.Tiers[0].Fit.MAP},
-			{Name: "app", MAP: plan.Tiers[1].Fit.MAP},
-			{Name: "db", MAP: plan.Tiers[2].Fit.MAP},
-		},
+	// The same three tiers fitted and solved directly through the
+	// network facade.
+	stations := make([]Station, len(chars))
+	for i, c := range chars {
+		fit, err := FitMAP2(c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, FitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stations[i] = Station{Name: rep.TierNames[i], MAP: fit.MAP}
+	}
+	met, err := SolveNetwork(ctx, MAPNetworkModelN{
+		Stations:  stations,
 		ThinkTime: 0.5,
 		Customers: 12,
 	}, SolverOptions{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Plan predictions run as a warm-started sweep, so the iterative
+	// Scenario predictions run as a warm-started sweep, so the iterative
 	// solver stops at a (slightly) different point inside the same
 	// residual-tolerance ball as this cold solve: compare within solver
 	// accuracy, not bitwise.
 	if relDiff := math.Abs(met.Throughput-preds[1].MAP.Throughput) / met.Throughput; relDiff > 1e-4 {
-		t.Errorf("facade network solve X = %v, plan predict X = %v (rel diff %v)",
+		t.Errorf("facade network solve X = %v, scenario X = %v (rel diff %v)",
 			met.Throughput, preds[1].MAP.Throughput, relDiff)
 	}
 
-	// N-tier bounds bracket the exact solution and reach large N.
-	b, err := ModelBoundsN(MAPNetworkModelN{
-		Stations:  plan.Stations(),
-		ThinkTime: 0.5,
-		Customers: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.Throughput > b.UpperX*1.001 || met.Throughput < b.LowerX*0.999 {
+	// N-tier bounds bracket the exact solution.
+	if b := preds[1].Bounds; met.Throughput > b.UpperX*1.001 || met.Throughput < b.LowerX*0.999 {
 		t.Errorf("bounds [%v, %v] miss exact %v", b.LowerX, b.UpperX, met.Throughput)
 	}
 
-	// K-station MVA via the facade agrees with the plan's baseline.
-	base, err := SolveMVAN([]float64{
-		plan.Tiers[0].Demand(), plan.Tiers[1].Demand(), plan.Tiers[2].Demand(),
-	}, 0.5, 12)
+	// The scenario's MVA column is K-station MVA over the tiers' demands.
+	demands := make([]float64, len(rep.Tiers))
+	for i, tr := range rep.Tiers {
+		demands[i] = tr.Demand
+	}
+	base, err := mva.Solve(mva.ModelN(demands, nil, 0.5), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(base.Throughput-preds[1].MVA.Throughput) > 1e-9 {
-		t.Errorf("facade MVA X = %v, plan baseline X = %v", base.Throughput, preds[1].MVA.Throughput)
+		t.Errorf("MVA X = %v, scenario baseline X = %v", base.Throughput, preds[1].MVA.Throughput)
 	}
 }

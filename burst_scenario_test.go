@@ -51,8 +51,8 @@ func TestZeroWindowConstantsAgree(t *testing.T) {
 }
 
 // TestRunModelScenarioDelegates pins the facade contract: a Scenario run
-// produces exactly the numbers of the (deprecated) function-per-step
-// pipeline, because both route through the same internal machinery.
+// produces exactly the numbers of the planner's step-by-step pipeline,
+// because both route through the same internal machinery.
 func TestRunModelScenarioDelegates(t *testing.T) {
 	sc := modelScenario()
 	rep, err := Run(context.Background(), sc)
@@ -66,16 +66,16 @@ func TestRunModelScenarioDelegates(t *testing.T) {
 		t.Fatalf("tier names %v", rep.TierNames)
 	}
 
-	// Legacy path: NewPlanNFromCharacterizations + Predict + Bounds.
+	// Step by step: BuildPlanNFromCharacterizations + PredictCtx + Bounds.
 	chars := []Characterization{
 		{MeanServiceTime: 0.006, IndexOfDispersion: 3, P95ServiceTime: 0.015},
 		{MeanServiceTime: 0.009, IndexOfDispersion: 40, P95ServiceTime: 0.02},
 	}
-	plan, err := NewPlanNFromCharacterizations(chars, 0.5, PlannerOptions{TierNames: []string{"front", "db"}})
+	plan, err := core.BuildPlanNFromCharacterizations(chars, 0.5, PlannerOptions{TierNames: []string{"front", "db"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{5, 10})
+	preds, err := plan.PredictCtx(context.Background(), []int{5, 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +86,14 @@ func TestRunModelScenarioDelegates(t *testing.T) {
 	for i := range preds {
 		got, want := rep.Results[i].MAP, preds[i].MAP
 		if got == nil || got.Throughput != want.Throughput || !reflect.DeepEqual(got.Utils, want.Utils) {
-			t.Errorf("population %d: scenario MAP %+v != legacy %+v", preds[i].EBs, got, want)
+			t.Errorf("population %d: scenario MAP %+v != planner %+v", preds[i].EBs, got, want)
 		}
 		if rep.Results[i].MVA == nil || rep.Results[i].MVA.Throughput != preds[i].MVA.Throughput {
-			t.Errorf("population %d: scenario MVA diverges from legacy", preds[i].EBs)
+			t.Errorf("population %d: scenario MVA diverges from the planner", preds[i].EBs)
 		}
 		if rep.Results[i].Bounds == nil || rep.Results[i].Bounds.UpperX != bounds[i].UpperX ||
 			rep.Results[i].Bounds.LowerX != bounds[i].LowerX {
-			t.Errorf("population %d: scenario bounds diverge from legacy", preds[i].EBs)
+			t.Errorf("population %d: scenario bounds diverge from the planner", preds[i].EBs)
 		}
 	}
 }
@@ -138,7 +138,7 @@ func TestScenarioJSONRoundTripRunEquivalence(t *testing.T) {
 }
 
 // TestRunSimScenarioDelegates checks the simulation column against the
-// deprecated replica API on the same seed.
+// replica API on the same seed.
 func TestRunSimScenarioDelegates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed scenario is slow under -short/-race instrumentation")
@@ -161,18 +161,18 @@ func TestRunSimScenarioDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := SimulateTPCWReplicas(cfg, 2, 0)
+	rr, err := SimulateReplicas(context.Background(), cfg, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim.Throughput != rr.Throughput || sim.MeanResponse != rr.MeanResponse {
-		t.Fatalf("scenario sim %+v != legacy replicas %+v", sim.Throughput, rr.Throughput)
+		t.Fatalf("scenario sim %+v != SimulateReplicas %+v", sim.Throughput, rr.Throughput)
 	}
 }
 
 // TestCommittedScenarioMatchesCrossValidate is the acceptance check: the
 // committed examples/scenariofile/scenario.json runs through Run and its
-// MAP-vs-simulation deltas equal the CrossValidateTPCW path on the same
+// MAP-vs-simulation deltas equal the CrossValidate path on the same
 // fixed seed.
 func TestCommittedScenarioMatchesCrossValidate(t *testing.T) {
 	if testing.Short() {
@@ -200,7 +200,7 @@ func TestCommittedScenarioMatchesCrossValidate(t *testing.T) {
 		Mix: mix, Tiers: tiers, EBs: 40, ThinkTime: 0.5,
 		Duration: 600, Warmup: 60, Cooldown: 30, Seed: 2024,
 	}
-	legacy, err := CrossValidateTPCW(cfg, ValidationOptions{
+	direct, err := CrossValidate(context.Background(), cfg, ValidationOptions{
 		Replicas: 2,
 		Planner:  PlannerOptions{Solver: SolverOptions{Tol: 1e-8}},
 	})
@@ -209,17 +209,17 @@ func TestCommittedScenarioMatchesCrossValidate(t *testing.T) {
 	}
 
 	const tol = 1e-9
-	if math.Abs(v.MAPError-legacy.MAPError) > tol || math.Abs(v.MVAError-legacy.MVAError) > tol {
-		t.Fatalf("scenario deltas (MAP %+.4f%%, MVA %+.4f%%) != CrossValidateTPCW (MAP %+.4f%%, MVA %+.4f%%)",
-			100*v.MAPError, 100*v.MVAError, 100*legacy.MAPError, 100*legacy.MVAError)
+	if math.Abs(v.MAPError-direct.MAPError) > tol || math.Abs(v.MVAError-direct.MVAError) > tol {
+		t.Fatalf("scenario deltas (MAP %+.4f%%, MVA %+.4f%%) != CrossValidate (MAP %+.4f%%, MVA %+.4f%%)",
+			100*v.MAPError, 100*v.MVAError, 100*direct.MAPError, 100*direct.MVAError)
 	}
-	if v.SimThroughput != legacy.SimThroughput || v.States != legacy.States {
-		t.Fatalf("scenario ground truth diverges: %+v vs %+v", v.SimThroughput, legacy.SimThroughput)
+	if v.SimThroughput != direct.SimThroughput || v.States != direct.States {
+		t.Fatalf("scenario ground truth diverges: %+v vs %+v", v.SimThroughput, direct.SimThroughput)
 	}
 	for i, tierV := range v.Tiers {
-		if math.Abs(tierV.MAPError-legacy.Tiers[i].MAPError) > tol {
-			t.Errorf("tier %s MAP utilization delta %v != legacy %v",
-				tierV.Name, tierV.MAPError, legacy.Tiers[i].MAPError)
+		if math.Abs(tierV.MAPError-direct.Tiers[i].MAPError) > tol {
+			t.Errorf("tier %s MAP utilization delta %v != direct %v",
+				tierV.Name, tierV.MAPError, direct.Tiers[i].MAPError)
 		}
 	}
 	t.Logf("deltas at %d EBs: MAP %+.2f%%, MVA %+.2f%% (sim X = %.2f ± %.2f)",

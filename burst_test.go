@@ -1,6 +1,7 @@
 package burst
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -38,9 +39,8 @@ func TestFacadeFitAndModel(t *testing.T) {
 	if math.Abs(fit.MAP.Mean()-0.005) > 1e-6 {
 		t.Errorf("fitted mean = %v", fit.MAP.Mean())
 	}
-	met, err := SolveMAPNetwork(MAPNetworkModel{
-		Front:     fit.MAP,
-		DB:        fit.MAP,
+	met, err := SolveNetwork(context.Background(), MAPNetworkModelN{
+		Stations:  []Station{{Name: "front", MAP: fit.MAP}, {Name: "db", MAP: fit.MAP}},
 		ThinkTime: 0.5,
 		Customers: 10,
 	}, SolverOptions{})
@@ -50,38 +50,56 @@ func TestFacadeFitAndModel(t *testing.T) {
 	if met.Throughput <= 0 {
 		t.Error("zero model throughput")
 	}
-	base, err := SolveMVA(0.005, 0.005, 0.5, 10)
+	// The MVA baseline over the same mean demands.
+	tier := TierSpec{Mean: 0.005, IndexOfDispersion: 120, P95: 0.02}
+	rep, err := Run(context.Background(), Scenario{
+		ThinkTime:   0.5,
+		Populations: []int{10},
+		Tiers:       []TierSpec{tier, tier},
+		Solvers:     []SolverKind{SolverMVA},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := rep.Results[0].MVA
 	if met.Throughput > base.Throughput*1.01 {
 		t.Errorf("bursty model X %v should not exceed MVA %v", met.Throughput, base.Throughput)
 	}
 }
 
 func TestFacadeTPCWAndPlan(t *testing.T) {
-	run, err := SimulateTPCW(TPCWConfig{
-		Mix: OrderingMix(), EBs: 30, Seed: 3,
+	tiers, err := DefaultTPCWTiers(OrderingMix(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run, err := Simulate(ctx, TPCWConfigN{
+		Mix: OrderingMix(), Tiers: tiers, EBs: 30, Seed: 3,
 		Duration: 900, Warmup: 60, Cooldown: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := Characterize(run.FrontSamples)
+	ch, err := Characterize(run.TierSamples[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ch.MeanServiceTime <= 0 {
 		t.Error("characterization failed")
 	}
-	plan, err := NewPlan(run.FrontSamples, run.DBSamples, 0.5, PlannerOptions{})
+	rep, err := Run(ctx, Scenario{
+		ThinkTime:   0.5,
+		Populations: []int{10, 30},
+		Tiers: []TierSpec{
+			{Name: "front", Samples: &run.TierSamples[0]},
+			{Name: "db", Samples: &run.TierSamples[1]},
+		},
+		Solvers: []SolverKind{SolverMAP},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{10, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	preds := rep.Results
 	if len(preds) != 2 || preds[1].MAP.Throughput <= preds[0].MAP.Throughput*0.5 {
 		t.Errorf("predictions implausible: %+v", preds)
 	}
@@ -117,12 +135,6 @@ func TestFacadeMixes(t *testing.T) {
 	if est2.I <= 0 {
 		t.Errorf("noisy stream I = %v, want > 0", est2.I)
 	}
-	if _, err := NewPlanFromCharacterizations(
-		Characterization{MeanServiceTime: 0.005, IndexOfDispersion: 10, P95ServiceTime: 0.02},
-		Characterization{MeanServiceTime: 0.004, IndexOfDispersion: 50, P95ServiceTime: 0.03},
-		0.5, PlannerOptions{}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func fill(n int, v float64) []float64 {
@@ -157,19 +169,17 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	// Model bounds bracket an exact solve.
-	fit, err := FitMAP2(0.005, 80, 0.03, FitOptions{})
+	tier := TierSpec{Mean: 0.005, IndexOfDispersion: 80, P95: 0.03}
+	rep, err := Run(context.Background(), Scenario{
+		ThinkTime:   0.5,
+		Populations: []int{20},
+		Tiers:       []TierSpec{tier, tier},
+		Solvers:     []SolverKind{SolverMAP, SolverBounds},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := MAPNetworkModel{Front: fit.MAP, DB: fit.MAP, ThinkTime: 0.5, Customers: 20}
-	b, err := ModelBounds(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := SolveMAPNetwork(m, SolverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, exact := rep.Results[0].Bounds, rep.Results[0].MAP
 	if exact.Throughput > b.UpperX*1.001 || exact.Throughput < b.LowerX*0.999 {
 		t.Errorf("bounds [%v, %v] do not bracket exact %v", b.LowerX, b.UpperX, exact.Throughput)
 	}

@@ -138,25 +138,17 @@ func run() error {
 		defer cancel()
 	}
 
-	if *remote != "" {
-		return runRemote(ctx, *remote, *rerun, remoteOptions{
-			scenarioPath: *scenarioPath,
-			suite: suiteOptions{
-				path: *suitePath, outPath: *outPath, backend: *backend,
-				workers: *workers, quiet: *quiet,
-				onError: *onError, retries: *retries, cellTimeout: *cellTimeout,
-				classes: classSpecs,
-			},
-		})
+	so := suiteOptions{
+		path: *suitePath, outPath: *outPath, backend: *backend,
+		resume: *resume, workers: *workers, quiet: *quiet,
+		onError: *onError, retries: *retries, cellTimeout: *cellTimeout,
+		classes: classSpecs,
 	}
-
+	if *remote != "" {
+		return runRemote(ctx, *remote, *rerun, remoteOptions{scenarioPath: *scenarioPath, suite: so})
+	}
 	if *suitePath != "" {
-		return runSuite(ctx, suiteOptions{
-			path: *suitePath, outPath: *outPath, backend: *backend,
-			resume: *resume, workers: *workers, quiet: *quiet,
-			onError: *onError, retries: *retries, cellTimeout: *cellTimeout,
-			classes: classSpecs,
-		})
+		return runSuite(ctx, so)
 	}
 
 	sc, err := burst.LoadScenario(*scenarioPath)
@@ -228,16 +220,10 @@ type suiteOptions struct {
 	classes                []burst.ClassSpec
 }
 
-// runSuite executes a suite file: expand the grid, skip cells already
-// completed in a resumed output, stream finished cells to the JSONL
-// sink, and print an aggregated per-cell table. It returns an error —
-// after every healthy cell has run and been recorded — when any cell
-// failed under the continue policy, so the exit code reflects failures.
-func runSuite(ctx context.Context, o suiteOptions) error {
-	suite, err := burst.LoadSuite(o.path)
-	if err != nil {
-		return err
-	}
+// apply applies the suite-shaping flags (backend, classes, workers,
+// on-error, retries, cell timeout) to a suite, the same way for local
+// and -remote runs.
+func (o suiteOptions) apply(suite *burst.Suite) {
 	applyBackend(&suite.Base, o.backend)
 	if len(o.classes) > 0 {
 		suite.Base.Classes = o.classes
@@ -253,6 +239,28 @@ func runSuite(ctx context.Context, o suiteOptions) error {
 	}
 	if o.cellTimeout > 0 {
 		suite.Base.Deadline = o.cellTimeout.Seconds()
+	}
+}
+
+// loadSuite reads the -suite file and applies the flag overrides.
+func loadSuite(o suiteOptions) (burst.Suite, error) {
+	suite, err := burst.LoadSuite(o.path)
+	if err != nil {
+		return burst.Suite{}, err
+	}
+	o.apply(&suite)
+	return suite, nil
+}
+
+// runSuite executes a suite file: expand the grid, skip cells already
+// completed in a resumed output, stream finished cells to the JSONL
+// sink, and print an aggregated per-cell table. It returns an error —
+// after every healthy cell has run and been recorded — when any cell
+// failed under the continue policy, so the exit code reflects failures.
+func runSuite(ctx context.Context, o suiteOptions) error {
+	suite, err := loadSuite(o)
+	if err != nil {
+		return err
 	}
 	if o.resume {
 		if o.outPath == "" {

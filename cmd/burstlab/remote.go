@@ -96,35 +96,15 @@ func runRemote(ctx context.Context, addr string, rerun bool, o remoteOptions) er
 // the usual flag overrides applied before hashing, or the -scenario
 // file wrapped as a single-cell suite.
 func buildRemoteSuite(o remoteOptions) (burst.Suite, error) {
-	var suite burst.Suite
 	if o.suite.path != "" {
-		var err error
-		if suite, err = burst.LoadSuite(o.suite.path); err != nil {
-			return burst.Suite{}, err
-		}
-	} else {
-		sc, err := burst.LoadScenario(o.scenarioPath)
-		if err != nil {
-			return burst.Suite{}, err
-		}
-		suite = burst.Suite{Name: sc.Name, Base: sc}
+		return loadSuite(o.suite)
 	}
-	applyBackend(&suite.Base, o.suite.backend)
-	if len(o.suite.classes) > 0 {
-		suite.Base.Classes = o.suite.classes
+	sc, err := burst.LoadScenario(o.scenarioPath)
+	if err != nil {
+		return burst.Suite{}, err
 	}
-	if o.suite.workers != 0 {
-		suite.Workers = o.suite.workers
-	}
-	if o.suite.onError != "" {
-		suite.OnError = burst.FailurePolicy(o.suite.onError)
-	}
-	if o.suite.retries >= 0 {
-		suite.Retry.MaxRetries = o.suite.retries
-	}
-	if o.suite.cellTimeout > 0 {
-		suite.Base.Deadline = o.suite.cellTimeout.Seconds()
-	}
+	suite := burst.Suite{Name: sc.Name, Base: sc}
+	o.suite.apply(&suite)
 	return suite, nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	burst "repro"
 	"repro/internal/service"
@@ -99,5 +101,62 @@ func TestFollowRowsBounded(t *testing.T) {
 	}
 	if len(rows) != 1 || follows.Load() != 1 {
 		t.Errorf("failed job: %d rows over %d follows, want 1 row in 1 follow", len(rows), follows.Load())
+	}
+}
+
+// TestRemoteSuiteMatchesLocal pins that a local -suite run and a -remote
+// submission build the same suite from one set of flags, with each of the
+// six suite-shaping overrides applied, and that the flags' defaults leave
+// the suite file as it is.
+func TestRemoteSuiteMatchesLocal(t *testing.T) {
+	classes, err := burst.ParseClassList("browsing=3,ordering=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("..", "..", "examples", "suite", "suite.json")
+	o := suiteOptions{
+		path: path, backend: string(burst.BackendMatrixFree), workers: 3,
+		onError: string(burst.FailContinue), retries: 2,
+		cellTimeout: 1500 * time.Millisecond, classes: classes,
+	}
+	local, err := loadSuite(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := buildRemoteSuite(remoteOptions{suite: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj, err := local.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rj, err := remote.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(lj, rj) {
+		t.Fatalf("local and remote suites differ:\nlocal  %s\nremote %s", lj, rj)
+	}
+	b := local.Base
+	if local.Workers != 3 || local.OnError != burst.FailContinue || local.Retry.MaxRetries != 2 ||
+		b.Deadline != 1.5 || len(b.Classes) != 2 ||
+		b.Planner == nil || b.Planner.Solver.Backend != burst.BackendMatrixFree {
+		t.Errorf("overrides not applied: workers %d, on-error %q, retries %d, deadline %v, %d classes, planner %+v",
+			local.Workers, local.OnError, local.Retry.MaxRetries, b.Deadline, len(b.Classes), b.Planner)
+	}
+
+	file, err := burst.LoadSuite(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := loadSuite(suiteOptions{path: path, retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj, _ := file.JSON()
+	pj, _ := plain.JSON()
+	if !bytes.Equal(fj, pj) {
+		t.Errorf("default flags changed the suite:\nfile  %s\nflags %s", fj, pj)
 	}
 }

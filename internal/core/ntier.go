@@ -9,7 +9,6 @@ import (
 	"repro/internal/mapqn"
 	"repro/internal/markov"
 	"repro/internal/mva"
-	"repro/internal/trace"
 )
 
 // Tier is one tier of an N-tier capacity plan: the measured service
@@ -30,8 +29,8 @@ type Tier struct {
 // Demand returns the tier's aggregate mean service demand per cycle.
 func (t Tier) Demand() float64 { return t.Visits * t.Characterization.MeanServiceTime }
 
-// PlanN is a parameterized capacity-planning model for a K-tier system:
-// the N-tier generalization of Plan. Tiers are visited in slice order.
+// PlanN is a parameterized capacity-planning model for a K-tier system.
+// Tiers are visited in slice order.
 type PlanN struct {
 	// Tiers are the characterized and fitted tiers in visit order.
 	Tiers []Tier
@@ -79,26 +78,13 @@ func DefaultTierNames(k int) []string {
 	return names
 }
 
-// BuildPlanN runs the full Section 4 pipeline for a K-tier system:
-// characterize each tier from its monitoring samples (mean, I, p95),
-// then fit a MAP(2) per tier. tiers[0] is the first tier a request hits;
-// thinkTime is the Z_qn the resulting model will be evaluated at, which
-// may differ from the think time of the measured system (Z_estim) — the
-// paper exploits exactly this to improve estimation granularity
+// BuildPlanNFromCharacterizations runs the fit step of the Section 4
+// pipeline for a K-tier system: one MAP(2) per tier from its measured
+// (mean, I, p95) characterization. chars[0] is the first tier a request
+// hits; thinkTime is the Z_qn the resulting model will be evaluated at,
+// which may differ from the think time of the measured system (Z_estim)
+// — the paper exploits exactly this to improve estimation granularity
 // (Fig. 11). Tier labels come from opts.TierNames when set.
-func BuildPlanN(tiers []trace.UtilizationSamples, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
-	if len(tiers) == 0 {
-		return nil, errors.New("core: no tiers to plan for")
-	}
-	chars, err := inference.CharacterizeAll(tiers, opts.Inference)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return BuildPlanNFromCharacterizations(chars, thinkTime, opts)
-}
-
-// BuildPlanNFromCharacterizations skips the measurement step, fitting
-// MAP(2)s directly from already-computed per-tier characterizations.
 func BuildPlanNFromCharacterizations(chars []inference.Characterization, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
 	if thinkTime <= 0 {
 		return nil, fmt.Errorf("core: think time %v must be > 0", thinkTime)
@@ -128,7 +114,7 @@ func BuildPlanNFromCharacterizations(chars []inference.Characterization, thinkTi
 // tiers — the constructor the suite engine's memoized pipeline uses,
 // where characterize→fit results are cached per tier spec and must not
 // be recomputed per cell. Callers own the tiers' correctness; use
-// BuildPlanN / BuildPlanNFromCharacterizations to run the pipeline.
+// BuildPlanNFromCharacterizations to run the fit step.
 func NewPlanN(tiers []Tier, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
 	if thinkTime <= 0 {
 		return nil, fmt.Errorf("core: think time %v must be > 0", thinkTime)
@@ -173,16 +159,11 @@ type PredictionN struct {
 	MVA mva.Result
 }
 
-// Predict evaluates both models at each population level. The MAP-model
-// evaluations run as one warm-started sweep: each population's CTMC
-// solve is seeded with the previous population's stationary vector.
-func (p *PlanN) Predict(populations []int) ([]PredictionN, error) {
-	return p.PredictCtx(context.Background(), populations, nil)
-}
-
-// PredictCtx is Predict with cooperative cancellation and an optional
-// per-population progress callback (nil to disable). A canceled sweep
-// returns ctx.Err() within one population step.
+// PredictCtx evaluates both models at each population level. The
+// MAP-model evaluations run as one warm-started sweep: each population's
+// CTMC solve is seeded with the previous population's stationary vector.
+// progress (nil to disable) observes each solved population; a canceled
+// sweep returns ctx.Err() within one population step.
 func (p *PlanN) PredictCtx(ctx context.Context, populations []int, progress mapqn.SweepProgress) ([]PredictionN, error) {
 	if len(populations) == 0 {
 		return nil, errors.New("core: no populations requested")
@@ -220,15 +201,10 @@ func (p *PlanN) DecompOptions() mapqn.DecompOptions {
 	return mapqn.DecompOptions{}
 }
 
-// PredictDecomp evaluates the approximate decomposition model at each
+// PredictDecompCtx evaluates the approximate decomposition model at each
 // population level as one warm-started sweep (consecutive populations
-// seed each other's demand fixed points).
-func (p *PlanN) PredictDecomp(populations []int) ([]mapqn.NetworkMetrics, error) {
-	return p.PredictDecompCtx(context.Background(), populations, nil)
-}
-
-// PredictDecompCtx is PredictDecomp with cooperative cancellation and an
-// optional per-population progress callback (nil to disable).
+// seed each other's demand fixed points), with cooperative cancellation
+// and an optional per-population progress callback (nil to disable).
 func (p *PlanN) PredictDecompCtx(ctx context.Context, populations []int, progress mapqn.SweepProgress) ([]mapqn.NetworkMetrics, error) {
 	if len(populations) == 0 {
 		return nil, errors.New("core: no populations requested")
@@ -294,7 +270,7 @@ func (p *PlanN) Compare(populations []int, measured []float64) ([]Accuracy, erro
 	if len(populations) != len(measured) {
 		return nil, fmt.Errorf("core: %d populations vs %d measurements", len(populations), len(measured))
 	}
-	preds, err := p.Predict(populations)
+	preds, err := p.PredictCtx(context.TODO(), populations, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/ctmc"
 	"repro/internal/inference"
-	"repro/internal/trace"
+	"repro/internal/mapqn"
+	"repro/internal/mva"
 )
 
 func TestBuildPlanNFromCharacterizations(t *testing.T) {
@@ -54,46 +58,35 @@ func TestBuildPlanNErrors(t *testing.T) {
 		PlannerOptions{TierNames: []string{"only-one"}}); err == nil {
 		t.Error("expected error for name/tier count mismatch")
 	}
-	if _, err := BuildPlanN(nil, 0.5, PlannerOptions{}); err == nil {
-		t.Error("expected error for no tier samples")
-	}
-	if _, err := BuildPlanN([]trace.UtilizationSamples{{}}, 0.5, PlannerOptions{}); err == nil {
-		t.Error("expected error for empty samples")
-	}
 }
 
-// TestTwoTierPlanMatchesPlanN: the legacy Plan is a wrapper, so its
-// predictions must equal the K=2 PlanN's exactly.
+// TestTwoTierPlanMatchesPlanN: the paper's two-tier plan is the K=2
+// PlanN, so its columns are exactly the K=2 MAP-network sweep over the
+// plan's stations and MVA over the two tiers' mean demands.
 func TestTwoTierPlanMatchesPlanN(t *testing.T) {
-	front := validChar(0.006, 30, 0.025)
-	db := validChar(0.004, 150, 0.03)
-	legacy, err := BuildPlanFromCharacterizations(front, db, 0.5, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, 0.5, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := twoTierPlan(t, validChar(0.006, 30, 0.025), validChar(0.004, 150, 0.03))
 	pops := []int{5, 25}
-	a, err := legacy.Predict(pops)
+	ctx := context.Background()
+	preds, err := plan.PredictCtx(ctx, pops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := n.Predict(pops)
+	mets, err := mapqn.SolveNetworkSweepCtx(ctx, plan.Stations(), 0.5, pops, ctmc.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i].MAP.Throughput != b[i].MAP.Throughput {
-			t.Errorf("pop %d: Plan X %v != PlanN X %v", pops[i], a[i].MAP.Throughput, b[i].MAP.Throughput)
+	demands := []float64{0.006, 0.004}
+	for i, n := range pops {
+		base, err := mva.Solve(mva.ModelN(demands, []string{"front", "db"}, 0.5), n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a[i].MAP.UtilFront != b[i].MAP.Utils[0] || a[i].MAP.UtilDB != b[i].MAP.Utils[1] {
-			t.Errorf("pop %d: utilization mismatch between Plan and PlanN", pops[i])
+		if !reflect.DeepEqual(preds[i].MAP, mets[i]) {
+			t.Errorf("N=%d: plan MAP column differs from the K=2 network sweep", n)
 		}
-	}
-	if legacy.N() == nil || len(legacy.N().Tiers) != 2 {
-		t.Error("legacy plan does not expose its N-tier core")
+		if !reflect.DeepEqual(preds[i].MVA, base) {
+			t.Errorf("N=%d: plan MVA column %+v, want %+v", n, preds[i].MVA, base)
+		}
 	}
 }
 
@@ -106,7 +99,7 @@ func TestPlanNPredictThreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{1, 10, 30})
+	preds, err := plan.PredictCtx(context.Background(), []int{1, 10, 30}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,35 +167,29 @@ func TestPlanNCompare(t *testing.T) {
 	}
 }
 
-// TestLiteralPlanStillPredicts: a Plan built from its exported fields
-// (not via a constructor) must keep working — it assembles its N-tier
-// core lazily.
+// TestLiteralPlanStillPredicts: a PlanN built from its exported fields
+// (not via a constructor) predicts exactly like a built plan with default
+// planner options.
 func TestLiteralPlanStillPredicts(t *testing.T) {
-	built, err := BuildPlanFromCharacterizations(
-		validChar(0.005, 40, 0.02), validChar(0.004, 60, 0.03), 0.5, PlannerOptions{})
+	built := twoTierPlan(t, validChar(0.005, 40, 0.02), validChar(0.004, 60, 0.03))
+	literal := &PlanN{Tiers: built.Tiers, ThinkTime: 0.5}
+	ctx := context.Background()
+	a, err := literal.PredictCtx(ctx, []int{10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	literal := &Plan{
-		Front: built.Front, DB: built.DB,
-		FrontFit: built.FrontFit, DBFit: built.DBFit,
-		ThinkTime: 0.5,
-	}
-	a, err := literal.Predict([]int{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := built.Predict([]int{10})
+	b, err := built.PredictCtx(ctx, []int{10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a[0].MAP.Throughput != b[0].MAP.Throughput {
 		t.Errorf("literal plan X %v != built plan X %v", a[0].MAP.Throughput, b[0].MAP.Throughput)
 	}
-	if _, err := (&Plan{ThinkTime: 0.5}).Predict([]int{1}); err == nil {
+	noMAP := &PlanN{Tiers: []Tier{{Name: "front", Visits: 1}, {Name: "db", Visits: 1}}, ThinkTime: 0.5}
+	if _, err := noMAP.PredictCtx(ctx, []int{1}, nil); err == nil {
 		t.Error("expected error for plan without fitted MAPs")
 	}
-	if _, err := (&Plan{}).Compare([]int{1}, []float64{1}); err == nil {
+	if _, err := (&PlanN{}).Compare([]int{1}, []float64{1}); err == nil {
 		t.Error("expected error for zero-value plan")
 	}
 }

@@ -8,21 +8,17 @@
 // each tier, get capacity predictions that remain accurate under bursty
 // workloads and bottleneck switch.
 //
-// The N-tier entry points are BuildPlanN / PlanN, which accept one
-// monitoring-sample set per tier (front, app, ..., db). BuildPlan / Plan
-// are the original two-tier API, retained as thin wrappers over the
-// N-tier pipeline.
+// A plan is a PlanN with one tier per layer (front, app, ..., db),
+// built by BuildPlanNFromCharacterizations or NewPlanN; the paper's
+// front+DB system is the K=2 case. The declarative entry point over the
+// same machinery is Scenario, executed by the root package's Run.
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/ctmc"
 	"repro/internal/inference"
 	"repro/internal/mapqn"
 	"repro/internal/markov"
-	"repro/internal/mva"
-	"repro/internal/trace"
 )
 
 // PlannerOptions tunes model construction.
@@ -43,114 +39,6 @@ type PlannerOptions struct {
 	TierNames []string `json:"tier_names,omitempty"`
 }
 
-// Plan is a parameterized capacity-planning model for a two-tier system:
-// the K=2 special case of PlanN.
-type Plan struct {
-	// Front and DB are the inferred service characterizations.
-	Front, DB inference.Characterization
-	// FrontFit and DBFit are the fitted MAP(2) service processes.
-	FrontFit, DBFit markov.FitResult
-	// ThinkTime is the think time Z_qn the model will be evaluated with.
-	ThinkTime float64
-
-	n *PlanN
-}
-
-// BuildPlan runs the full Section 4 pipeline for the paper's two-tier
-// system: characterize each tier from its monitoring samples
-// (mean, I, p95), then fit a MAP(2) per tier. It is a thin wrapper over
-// BuildPlanN.
-func BuildPlan(front, db trace.UtilizationSamples, thinkTime float64, opts PlannerOptions) (*Plan, error) {
-	if thinkTime <= 0 {
-		return nil, fmt.Errorf("core: think time %v must be > 0", thinkTime)
-	}
-	fc, err := inference.Characterize(front, opts.Inference)
-	if err != nil {
-		return nil, fmt.Errorf("core: front tier: %w", err)
-	}
-	dc, err := inference.Characterize(db, opts.Inference)
-	if err != nil {
-		return nil, fmt.Errorf("core: db tier: %w", err)
-	}
-	return BuildPlanFromCharacterizations(fc, dc, thinkTime, opts)
-}
-
-// BuildPlanFromCharacterizations skips the measurement step, fitting
-// MAP(2)s directly from already-computed characterizations.
-func BuildPlanFromCharacterizations(front, db inference.Characterization, thinkTime float64, opts PlannerOptions) (*Plan, error) {
-	if len(opts.TierNames) == 0 {
-		opts.TierNames = []string{"front", "db"}
-	}
-	n, err := BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, thinkTime, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{
-		Front:     n.Tiers[0].Characterization,
-		DB:        n.Tiers[1].Characterization,
-		FrontFit:  n.Tiers[0].Fit,
-		DBFit:     n.Tiers[1].Fit,
-		ThinkTime: thinkTime,
-		n:         n,
-	}, nil
-}
-
-// N exposes the underlying N-tier plan.
-func (p *Plan) N() *PlanN { return p.n }
-
-// planN returns the wrapped N-tier plan, assembling one from the
-// exported fields when the Plan was constructed literally rather than
-// through a Build* constructor.
-func (p *Plan) planN() (*PlanN, error) {
-	if p.n != nil {
-		return p.n, nil
-	}
-	if p.ThinkTime <= 0 {
-		return nil, fmt.Errorf("core: think time %v must be > 0", p.ThinkTime)
-	}
-	if p.FrontFit.MAP == nil || p.DBFit.MAP == nil {
-		return nil, fmt.Errorf("core: plan has no fitted MAPs; use BuildPlan or BuildPlanFromCharacterizations")
-	}
-	return &PlanN{
-		Tiers: []Tier{
-			{Name: "front", Characterization: p.Front, Fit: p.FrontFit, Visits: 1},
-			{Name: "db", Characterization: p.DB, Fit: p.DBFit, Visits: 1},
-		},
-		ThinkTime: p.ThinkTime,
-	}, nil
-}
-
-// Prediction is the model output at one population level.
-type Prediction struct {
-	EBs int
-	// MAP holds the burstiness-aware model's metrics (the paper's
-	// "Model" series in Figs. 11-12).
-	MAP mapqn.Metrics
-	// MVA holds the baseline's metrics (the paper's "MVA" series).
-	MVA mva.Result
-}
-
-// Predict evaluates both models at each population level.
-func (p *Plan) Predict(populations []int) ([]Prediction, error) {
-	n, err := p.planN()
-	if err != nil {
-		return nil, err
-	}
-	preds, err := n.Predict(populations)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Prediction, len(preds))
-	for i, pr := range preds {
-		two, err := pr.MAP.AsTwoTier()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = Prediction{EBs: pr.EBs, MAP: two, MVA: pr.MVA}
-	}
-	return out, nil
-}
-
 // Accuracy compares predicted against measured throughput, returning the
 // relative errors of the MAP model and the MVA baseline — the error bars
 // the paper reports in Figs. 10-12.
@@ -161,16 +49,6 @@ type Accuracy struct {
 	MVAPredicted     float64
 	MAPRelativeError float64
 	MVARelativeError float64
-}
-
-// Compare evaluates both models against measured throughputs.
-// populations and measured must have equal lengths.
-func (p *Plan) Compare(populations []int, measured []float64) ([]Accuracy, error) {
-	n, err := p.planN()
-	if err != nil {
-		return nil, err
-	}
-	return n.Compare(populations, measured)
 }
 
 func relErr(pred, actual float64) float64 {

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/inference"
 	"repro/internal/tpcw"
-	"repro/internal/trace"
 )
 
 func validChar(mean, i, p95 float64) inference.Characterization {
@@ -17,55 +17,60 @@ func validChar(mean, i, p95 float64) inference.Characterization {
 	}
 }
 
-func TestBuildPlanFromCharacterizations(t *testing.T) {
-	plan, err := BuildPlanFromCharacterizations(
-		validChar(0.005, 40, 0.02),
-		validChar(0.004, 300, 0.03),
-		0.5, PlannerOptions{})
+// The tests in this file exercise the paper's two-tier front+DB plan,
+// the K=2 case of PlanN.
+
+func twoTierPlan(t *testing.T, front, db inference.Characterization) *PlanN {
+	t.Helper()
+	plan, err := BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, 0.5, PlannerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.FrontFit.MAP == nil || plan.DBFit.MAP == nil {
+	return plan
+}
+
+func TestBuildPlanFromCharacterizations(t *testing.T) {
+	plan := twoTierPlan(t, validChar(0.005, 40, 0.02), validChar(0.004, 300, 0.03))
+	if len(plan.Tiers) != 2 || plan.Tiers[0].Name != "front" || plan.Tiers[1].Name != "db" {
+		t.Fatalf("two-tier plan tiers = %+v, want front, db", plan.Tiers)
+	}
+	front, db := plan.Tiers[0].Fit, plan.Tiers[1].Fit
+	if front.MAP == nil || db.MAP == nil {
 		t.Fatal("fitted MAPs missing")
 	}
 	// The fitted processes must preserve the measured means.
-	if math.Abs(plan.FrontFit.MAP.Mean()-0.005) > 1e-6 {
-		t.Errorf("front mean = %v", plan.FrontFit.MAP.Mean())
+	if math.Abs(front.MAP.Mean()-0.005) > 1e-6 {
+		t.Errorf("front mean = %v", front.MAP.Mean())
 	}
-	if math.Abs(plan.DBFit.MAP.Mean()-0.004) > 1e-6 {
-		t.Errorf("db mean = %v", plan.DBFit.MAP.Mean())
+	if math.Abs(db.MAP.Mean()-0.004) > 1e-6 {
+		t.Errorf("db mean = %v", db.MAP.Mean())
 	}
-	if math.Abs(plan.FrontFit.AchievedI-40) > 4 {
-		t.Errorf("front I = %v, want ~40", plan.FrontFit.AchievedI)
+	if math.Abs(front.AchievedI-40) > 4 {
+		t.Errorf("front I = %v, want ~40", front.AchievedI)
 	}
 }
 
 func TestBuildPlanErrors(t *testing.T) {
 	good := validChar(0.005, 40, 0.02)
-	if _, err := BuildPlanFromCharacterizations(good, good, 0, PlannerOptions{}); err == nil {
-		t.Error("expected error for zero think time")
-	}
 	bad := validChar(0, 40, 0.02)
-	if _, err := BuildPlanFromCharacterizations(bad, good, 0.5, PlannerOptions{}); err == nil {
-		t.Error("expected error for invalid front characterization")
-	}
-	if _, err := BuildPlanFromCharacterizations(good, bad, 0.5, PlannerOptions{}); err == nil {
-		t.Error("expected error for invalid db characterization")
-	}
-	if _, err := BuildPlan(trace.UtilizationSamples{}, trace.UtilizationSamples{}, 0.5, PlannerOptions{}); err == nil {
-		t.Error("expected error for empty samples")
+	for _, c := range []struct {
+		name      string
+		front, db inference.Characterization
+		z         float64
+	}{
+		{"zero think time", good, good, 0},
+		{"invalid front characterization", bad, good, 0.5},
+		{"invalid db characterization", good, bad, 0.5},
+	} {
+		if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{c.front, c.db}, c.z, PlannerOptions{}); err == nil {
+			t.Errorf("expected error for %s", c.name)
+		}
 	}
 }
 
 func TestPredictConsistency(t *testing.T) {
-	plan, err := BuildPlanFromCharacterizations(
-		validChar(0.006, 30, 0.025),
-		validChar(0.004, 150, 0.03),
-		0.5, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := plan.Predict([]int{1, 10, 40})
+	plan := twoTierPlan(t, validChar(0.006, 30, 0.025), validChar(0.004, 150, 0.03))
+	preds, err := plan.PredictCtx(context.Background(), []int{1, 10, 40}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,25 +89,20 @@ func TestPredictConsistency(t *testing.T) {
 }
 
 func TestPredictErrors(t *testing.T) {
-	plan, err := BuildPlanFromCharacterizations(
-		validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02), 0.5, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Predict(nil); err == nil {
-		t.Error("expected error for empty populations")
-	}
-	if _, err := plan.Predict([]int{0}); err == nil {
-		t.Error("expected error for zero population")
+	plan := twoTierPlan(t, validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02))
+	ctx := context.Background()
+	for _, pops := range [][]int{nil, {0}} {
+		if _, err := plan.PredictCtx(ctx, pops, nil); err == nil {
+			t.Errorf("populations %v: expected error", pops)
+		}
+		if _, err := plan.PredictDecompCtx(ctx, pops, nil); err == nil {
+			t.Errorf("populations %v: expected decomp error", pops)
+		}
 	}
 }
 
 func TestCompareValidation(t *testing.T) {
-	plan, err := BuildPlanFromCharacterizations(
-		validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02), 0.5, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := twoTierPlan(t, validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02))
 	if _, err := plan.Compare([]int{1, 2}, []float64{1}); err == nil {
 		t.Error("expected error for length mismatch")
 	}
@@ -133,27 +133,33 @@ func TestEndToEndBrowsingMixBeatsMVA(t *testing.T) {
 	mix := tpcw.BrowsingMix()
 	// Fitting data: 50 EBs with Zestim = 7 s for fine granularity
 	// (Section 4.2 / Fig. 11).
-	fitRun, err := tpcw.Run(tpcw.Config{
-		Mix: mix, EBs: 50, ThinkTime: 7, Seed: 101,
+	tiers, err := tpcw.DefaultTiers(mix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	fitRun, err := tpcw.RunNCtx(ctx, tpcw.ConfigN{
+		Mix: mix, Tiers: tiers, EBs: 50, ThinkTime: 7, Seed: 101,
 		Duration: 2400, Warmup: 120, Cooldown: 60,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildPlan(fitRun.FrontSamples, fitRun.DBSamples, 0.5, PlannerOptions{})
+	chars, err := inference.CharacterizeAll(fitRun.TierSamples, inference.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := twoTierPlan(t, chars[0], chars[1])
 	t.Logf("front: S=%.4f I=%.1f p95=%.4f | db: S=%.4f I=%.1f p95=%.4f",
-		plan.Front.MeanServiceTime, plan.Front.IndexOfDispersion, plan.Front.P95ServiceTime,
-		plan.DB.MeanServiceTime, plan.DB.IndexOfDispersion, plan.DB.P95ServiceTime)
+		chars[0].MeanServiceTime, chars[0].IndexOfDispersion, chars[0].P95ServiceTime,
+		chars[1].MeanServiceTime, chars[1].IndexOfDispersion, chars[1].P95ServiceTime)
 
 	// Validation experiments at Zqn = 0.5 s.
 	populations := []int{25, 75, 120}
 	measured := make([]float64, len(populations))
 	for i, n := range populations {
-		run, err := tpcw.Run(tpcw.Config{
-			Mix: mix, EBs: n, ThinkTime: 0.5, Seed: int64(200 + n),
+		run, err := tpcw.RunNCtx(ctx, tpcw.ConfigN{
+			Mix: mix, Tiers: tiers, EBs: n, ThinkTime: 0.5, Seed: int64(200 + n),
 			Duration: 1200, Warmup: 120, Cooldown: 60,
 		})
 		if err != nil {

@@ -22,7 +22,7 @@ const (
 	// SolverMVA solves the classical product-form MVA baseline.
 	SolverMVA SolverKind = "mva"
 	// SolverDecomp solves the MAP network approximately by per-station
-	// aggregation/disaggregation (mapqn.SolveNetworkDecomp): K small
+	// aggregation/disaggregation (mapqn.SolveNetworkDecompCtx): K small
 	// level chains coupled through a damped fixed point on effective
 	// demands, O(K*N*phases) states total. It sits between SolverMAP
 	// (exact, combinatorial state space) and SolverBounds (brackets

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/des"
@@ -40,18 +41,16 @@ func AblationIdleSemantics(scale Scale) ([]IdleSemanticsRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx := context.TODO()
 	var rows []IdleSemanticsRow
 	for _, n := range []int{5, 25, 75, 150} {
-		frozen, err := mapqn.Solve(mapqn.Model{
-			Front: front.MAP, DB: db.MAP, ThinkTime: 0.5, Customers: n,
-		}, solverOpts(scale))
+		m := twoTierNetwork(front.MAP, db.MAP, n)
+		frozen, err := mapqn.SolveNetworkCtx(ctx, m, solverOpts(scale))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: frozen semantics at %d: %w", n, err)
 		}
-		free, err := mapqn.Solve(mapqn.Model{
-			Front: front.MAP, DB: db.MAP, ThinkTime: 0.5, Customers: n,
-			PhasesRunWhileIdle: true,
-		}, solverOpts(scale))
+		m.PhasesRunWhileIdle = true
+		free, err := mapqn.SolveNetworkCtx(ctx, m, solverOpts(scale))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: free-running semantics at %d: %w", n, err)
 		}
@@ -65,6 +64,15 @@ func AblationIdleSemantics(scale Scale) ([]IdleSemanticsRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// twoTierNetwork is the paper's front+DB MAP network at Z = 0.5 s.
+func twoTierNetwork(front, db *markov.MAP, n int) mapqn.NetworkModel {
+	return mapqn.NetworkModel{
+		Stations:  []mapqn.Station{{Name: "front", MAP: front}, {Name: "db", MAP: db}},
+		ThinkTime: 0.5,
+		Customers: n,
+	}
 }
 
 // SelectionPolicyRow compares the default closest-p95 selection against
@@ -89,13 +97,14 @@ func AblationSelectionPolicy(scale Scale) ([]SelectionPolicyRow, error) {
 		return nil, err
 	}
 	front := markov.Poisson(1 / 0.0068)
+	ctx := context.TODO()
 	var rows []SelectionPolicyRow
 	for _, n := range []int{25, 75, 150} {
-		a, err := mapqn.Solve(mapqn.Model{Front: front, DB: def.MAP, ThinkTime: 0.5, Customers: n}, solverOpts(scale))
+		a, err := mapqn.SolveNetworkCtx(ctx, twoTierNetwork(front, def.MAP, n), solverOpts(scale))
 		if err != nil {
 			return nil, err
 		}
-		b, err := mapqn.Solve(mapqn.Model{Front: front, DB: agg.MAP, ThinkTime: 0.5, Customers: n}, solverOpts(scale))
+		b, err := mapqn.SolveNetworkCtx(ctx, twoTierNetwork(front, agg.MAP, n), solverOpts(scale))
 		if err != nil {
 			return nil, err
 		}
@@ -199,6 +208,7 @@ type BurstinessSweepRow struct {
 // browsing mix from zero upward and measures where MVA starts failing —
 // the design-space view behind the paper's Fig. 10 finding.
 func AblationBurstinessSweep(seed int64, scale Scale) ([]BurstinessSweepRow, error) {
+	ctx := context.TODO()
 	var rows []BurstinessSweepRow
 	for _, p := range []float64{0, 0.001, 0.0035, 0.008} {
 		mix := tpcw.BrowsingMix()
@@ -210,26 +220,23 @@ func AblationBurstinessSweep(seed int64, scale Scale) ([]BurstinessSweepRow, err
 		// Demands measured at moderate load...
 		fitCfg := scale.config(mix, 50, seed)
 		fitCfg.ThinkTime = 0.5
-		fitRun, err := tpcw.Run(fitCfg)
+		fitRun, err := runTwoTier(ctx, fitCfg)
 		if err != nil {
 			return nil, err
 		}
-		fc, err := inference.Characterize(fitRun.FrontSamples, inference.Options{})
-		if err != nil {
-			return nil, err
-		}
-		dc, err := inference.Characterize(fitRun.DBSamples, inference.Options{})
+		chars, err := inference.CharacterizeAll(fitRun.TierSamples, inference.Options{})
 		if err != nil {
 			return nil, err
 		}
 		// ...validated at saturation.
 		valCfg := scale.config(mix, 120, seed+7)
 		valCfg.ThinkTime = 0.5
-		valRun, err := tpcw.Run(valCfg)
+		valRun, err := runTwoTier(ctx, valCfg)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := mva.Solve(mva.Model(fc.MeanServiceTime, dc.MeanServiceTime, 0.5), 120)
+		demands := []float64{chars[0].MeanServiceTime, chars[1].MeanServiceTime}
+		pred, err := mva.Solve(mva.ModelN(demands, nil, 0.5), 120)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +245,7 @@ func AblationBurstinessSweep(seed int64, scale Scale) ([]BurstinessSweepRow, err
 			MeasuredX:          valRun.Throughput,
 			MVAX:               pred.Throughput,
 			MVAErr:             relError(pred.Throughput, valRun.Throughput),
-			IDB:                dc.IndexOfDispersion,
+			IDB:                chars[1].IndexOfDispersion,
 		})
 	}
 	return rows, nil

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -210,37 +211,38 @@ type TimelineStats struct {
 // Figure5And6 runs the three mixes at 100 EBs with 1-second tracking and
 // summarizes the utilization timelines (Fig. 5) and DB queue-length
 // behaviour (Fig. 6).
-func Figure5And6(seed int64, scale Scale) ([]TimelineStats, map[string]*tpcw.Result, error) {
+func Figure5And6(seed int64, scale Scale) ([]TimelineStats, map[string]*tpcw.ResultN, error) {
 	out := make([]TimelineStats, 0, 3)
-	raw := make(map[string]*tpcw.Result, 3)
+	raw := make(map[string]*tpcw.ResultN, 3)
 	for _, mix := range tpcw.StandardMixes() {
 		cfg := scale.config(mix, 100, seed)
 		cfg.TrackSeries = true
-		res, err := tpcw.Run(cfg)
+		res, err := runTwoTier(context.TODO(), cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: figure 5/6 %s: %w", mix.Name, err)
 		}
 		raw[mix.Name] = res
 		st := TimelineStats{Mix: mix.Name}
-		n := len(res.FrontUtil1s)
+		frontU, dbU, dbQ := res.TierUtil1s[0], res.TierUtil1s[1], res.TierQueueLen1s[1]
+		n := len(frontU)
 		switches := 0
 		for i := 0; i < n; i++ {
-			st.MeanFront += res.FrontUtil1s[i]
-			st.MeanDB += res.DBUtil1s[i]
-			if res.DBUtil1s[i] > res.FrontUtil1s[i]+0.2 {
+			st.MeanFront += frontU[i]
+			st.MeanDB += dbU[i]
+			if dbU[i] > frontU[i]+0.2 {
 				switches++
 			}
 		}
 		st.MeanFront /= float64(n)
 		st.MeanDB /= float64(n)
 		st.SwitchFraction = float64(switches) / float64(n)
-		st.P10DB = percentileOf(res.DBUtil1s, 10)
-		st.P90DB = percentileOf(res.DBUtil1s, 90)
-		st.MaxDB = maxOf(res.DBUtil1s)
-		st.MeanQueueDB = meanOf(res.DBQueueLen1s)
-		st.MaxQueueDB = maxOf(res.DBQueueLen1s)
-		st.QueueP10 = percentileOf(res.DBQueueLen1s, 10)
-		st.QueueP90 = percentileOf(res.DBQueueLen1s, 90)
+		st.P10DB = percentileOf(dbU, 10)
+		st.P90DB = percentileOf(dbU, 90)
+		st.MaxDB = maxOf(dbU)
+		st.MeanQueueDB = meanOf(dbQ)
+		st.MaxQueueDB = maxOf(dbQ)
+		st.QueueP10 = percentileOf(dbQ, 10)
+		st.QueueP90 = percentileOf(dbQ, 90)
 		out = append(out, st)
 	}
 	return out, raw, nil
@@ -263,7 +265,7 @@ func Figure7And8(seed int64, scale Scale) ([]TypeBreakdownRow, error) {
 	for _, mix := range tpcw.StandardMixes() {
 		cfg := scale.config(mix, 100, seed)
 		cfg.TrackSeries = true
-		res, err := tpcw.Run(cfg)
+		res, err := runTwoTier(context.TODO(), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 7/8 %s: %w", mix.Name, err)
 		}
@@ -275,7 +277,7 @@ func Figure7And8(seed int64, scale Scale) ([]TypeBreakdownRow, error) {
 				Share:           float64(res.CompletedByType[tt]) / float64(res.Completed),
 				MeanInSystem:    meanOf(series),
 				MaxInSystem:     maxOf(series),
-				CorrWithDBQueue: correlation(series, res.DBQueueLen1s),
+				CorrWithDBQueue: correlation(series, res.TierQueueLen1s[1]),
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -23,21 +24,26 @@ type AccuracyRow struct {
 }
 
 // fitCharacterizations runs a fitting experiment at the given Zestim and
-// characterizes both tiers.
-func fitCharacterizations(mix tpcw.Mix, zEstim float64, ebs int, seed int64, scale Scale) (front, db inference.Characterization, err error) {
-	run, err := tpcw.Run(scale.fitConfig(mix, zEstim, ebs, seed))
+// characterizes both tiers (front, db).
+func fitCharacterizations(mix tpcw.Mix, zEstim float64, ebs int, seed int64, scale Scale) ([]inference.Characterization, error) {
+	run, err := runTwoTier(context.TODO(), scale.fitConfig(mix, zEstim, ebs, seed))
 	if err != nil {
-		return front, db, fmt.Errorf("experiments: fitting run %s Zestim=%v: %w", mix.Name, zEstim, err)
+		return nil, fmt.Errorf("experiments: fitting run %s Zestim=%v: %w", mix.Name, zEstim, err)
 	}
-	front, err = inference.Characterize(run.FrontSamples, inference.Options{})
+	chars, err := inference.CharacterizeAll(run.TierSamples, inference.Options{})
 	if err != nil {
-		return front, db, fmt.Errorf("experiments: front characterization: %w", err)
+		return nil, fmt.Errorf("experiments: characterization: %w", err)
 	}
-	db, err = inference.Characterize(run.DBSamples, inference.Options{})
-	if err != nil {
-		return front, db, fmt.Errorf("experiments: db characterization: %w", err)
-	}
-	return front, db, nil
+	return chars, nil
+}
+
+// planAt fits MAP(2)s to the two-tier characterizations, to be evaluated
+// at Zqn = 0.5 s.
+func planAt(chars []inference.Characterization, scale Scale) (*core.PlanN, error) {
+	return core.BuildPlanNFromCharacterizations(chars, 0.5, core.PlannerOptions{
+		Solver: solverOpts(scale),
+		Fit:    fitOpts(),
+	})
 }
 
 // Figure10 compares MVA predictions (parameterized by mean demands only,
@@ -56,11 +62,11 @@ func Figure10(seed int64, scale Scale, populations []int) ([]AccuracyRow, error)
 	measured := measuredThroughputs(srep)
 	var rows []AccuracyRow
 	for m, mix := range tpcw.StandardMixes() {
-		front, db, err := fitCharacterizations(mix, 0.5, 50, seed, scale)
+		chars, err := fitCharacterizations(mix, 0.5, 50, seed, scale)
 		if err != nil {
 			return nil, err
 		}
-		net := mva.Model(front.MeanServiceTime, db.MeanServiceTime, 0.5)
+		net := mva.ModelN([]float64{chars[0].MeanServiceTime, chars[1].MeanServiceTime}, nil, 0.5)
 		for i, n := range populations {
 			pred, err := mva.Solve(net, n)
 			if err != nil {
@@ -104,21 +110,18 @@ func Figure11(seed int64, scale Scale, populations []int) ([]Figure11Row, error)
 		150: {0.061, 0.043},
 	}
 	mix := tpcw.BrowsingMix()
-	planAt := func(zEstim float64) (*core.Plan, error) {
-		front, db, err := fitCharacterizations(mix, zEstim, 50, seed, scale)
+	fitAt := func(zEstim float64) (*core.PlanN, error) {
+		chars, err := fitCharacterizations(mix, zEstim, 50, seed, scale)
 		if err != nil {
 			return nil, err
 		}
-		return core.BuildPlanFromCharacterizations(front, db, 0.5, core.PlannerOptions{
-			Solver: solverOpts(scale),
-			Fit:    fitOpts(),
-		})
+		return planAt(chars, scale)
 	}
-	plan05, err := planAt(0.5)
+	plan05, err := fitAt(0.5)
 	if err != nil {
 		return nil, err
 	}
-	plan7, err := planAt(7)
+	plan7, err := fitAt(7)
 	if err != nil {
 		return nil, err
 	}
@@ -128,11 +131,11 @@ func Figure11(seed int64, scale Scale, populations []int) ([]Figure11Row, error)
 		return nil, fmt.Errorf("experiments: figure 11: %w", err)
 	}
 	measured := measuredThroughputs(srep)
-	preds05, err := plan05.Predict(populations)
+	preds05, err := plan05.PredictCtx(context.TODO(), populations, nil)
 	if err != nil {
 		return nil, err
 	}
-	preds7, err := plan7.Predict(populations)
+	preds7, err := plan7.PredictCtx(context.TODO(), populations, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -185,14 +188,11 @@ func Figure12(seed int64, scale Scale, populations []int) ([]Figure12Result, err
 	allMeasured := measuredThroughputs(srep)
 	var out []Figure12Result
 	for m, mix := range tpcw.StandardMixes() {
-		front, db, err := fitCharacterizations(mix, 7, 50, seed, scale)
+		chars, err := fitCharacterizations(mix, 7, 50, seed, scale)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := core.BuildPlanFromCharacterizations(front, db, 0.5, core.PlannerOptions{
-			Solver: solverOpts(scale),
-			Fit:    fitOpts(),
-		})
+		plan, err := planAt(chars, scale)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 12 plan for %s: %w", mix.Name, err)
 		}
@@ -203,8 +203,8 @@ func Figure12(seed int64, scale Scale, populations []int) ([]Figure12Result, err
 		}
 		res := Figure12Result{
 			Mix:     mix.Name,
-			IFront:  front.IndexOfDispersion,
-			IDB:     db.IndexOfDispersion,
+			IFront:  chars[0].IndexOfDispersion,
+			IDB:     chars[1].IndexOfDispersion,
 			PaperIF: paperI[mix.Name][0],
 			PaperID: paperI[mix.Name][1],
 		}

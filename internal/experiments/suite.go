@@ -14,12 +14,12 @@ import (
 // sweeps through a suite base workload (measurementSuite), the
 // remaining single runs through the config/fitConfig helpers — instead
 // of each figure plumbing Quick/Full durations into its own
-// tpcw.Config literals.
+// tpcw.ConfigN literals.
 
-// config materializes the Scale as a legacy two-tier testbed run
-// configuration at the measurement duration.
-func (s Scale) config(mix tpcw.Mix, ebs int, seed int64) tpcw.Config {
-	return tpcw.Config{
+// config materializes the Scale as a testbed run configuration at the
+// measurement duration; runTwoTier supplies the tiers.
+func (s Scale) config(mix tpcw.Mix, ebs int, seed int64) tpcw.ConfigN {
+	return tpcw.ConfigN{
 		Mix: mix, EBs: ebs, Seed: seed,
 		Duration: s.SimDuration, Warmup: s.SimWarmup, Cooldown: s.SimCooldown,
 	}
@@ -27,11 +27,22 @@ func (s Scale) config(mix tpcw.Mix, ebs int, seed int64) tpcw.Config {
 
 // fitConfig is config at the Zestim fitting duration and think time —
 // the Section 4.2 parameter-estimation runs.
-func (s Scale) fitConfig(mix tpcw.Mix, zEstim float64, ebs int, seed int64) tpcw.Config {
+func (s Scale) fitConfig(mix tpcw.Mix, zEstim float64, ebs int, seed int64) tpcw.ConfigN {
 	cfg := s.config(mix, ebs, seed)
 	cfg.ThinkTime = zEstim
 	cfg.Duration = s.FitDuration
 	return cfg
+}
+
+// runTwoTier runs cfg on the paper's front+DB testbed:
+// DefaultTiers(cfg.Mix, 2), with the mix's contention environments.
+func runTwoTier(ctx context.Context, cfg tpcw.ConfigN) (*tpcw.ResultN, error) {
+	tiers, err := tpcw.DefaultTiers(cfg.Mix, 2)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Tiers = tiers
+	return tpcw.RunNCtx(ctx, cfg)
 }
 
 // workload materializes the Scale as a suite base workload: one
@@ -84,8 +95,8 @@ func measurementSuite(name string, scale Scale, mixes []string, thinkTime float6
 	}
 }
 
-// measureRunner executes one measurement cell as a single legacy
-// two-tier testbed run, reproducing the pre-suite sweeps bit for bit:
+// measureRunner executes one measurement cell as a single two-tier
+// testbed run, reproducing the pre-suite sweeps bit for bit:
 // the run's seed is the cell's workload seed plus seedStep times its
 // population — the per-population seed schedule the original loops
 // used (1 for Figure 4, 13 for the accuracy sweeps).
@@ -101,7 +112,7 @@ func measureRunner(seedStep int64) core.CellRunner {
 			return nil, err
 		}
 		n := sc.Populations[0]
-		res, err := tpcw.Run(tpcw.Config{
+		res, err := runTwoTier(ctx, tpcw.ConfigN{
 			Mix: mix, EBs: n, ThinkTime: sc.ThinkTime,
 			Seed:     wl.Seed + int64(n)*seedStep,
 			Duration: wl.Duration, Warmup: wl.Warmup, Cooldown: wl.Cooldown,
@@ -119,9 +130,9 @@ func measureRunner(seedStep int64) core.CellRunner {
 					MeanResponse: stats.Interval{Mean: res.MeanResponse},
 					P95Response:  stats.Interval{Mean: res.P95Response},
 					TierUtil: []stats.Interval{
-						{Mean: res.AvgUtilFront}, {Mean: res.AvgUtilDB},
+						{Mean: res.AvgUtil[0]}, {Mean: res.AvgUtil[1]},
 					},
-					TierNames: []string{"front", "db"},
+					TierNames: res.TierNames,
 				},
 			}},
 		}, nil

@@ -271,7 +271,7 @@ func TestBuildGeneratorOverflowReturnsBoundsError(t *testing.T) {
 		stations[i] = Station{MAP: mp}
 	}
 	m := NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: 500}
-	_, err := SolveNetwork(m, ctmc.Options{})
+	_, err := SolveNetworkCtx(context.Background(), m, ctmc.Options{})
 	if err == nil {
 		t.Fatal("expected state-space error for 24 stations at N=500")
 	}
@@ -297,12 +297,12 @@ func TestWarmSweepMatchesColdSolves(t *testing.T) {
 	}
 	opts := ctmc.Options{Tol: 1e-12}
 	populations := []int{2, 6, 12, 20, 35, 30, 9}
-	warm, err := SolveNetworkSweep(stations, 0.5, populations, opts)
+	warm, err := SolveNetworkSweepCtx(context.Background(), stations, 0.5, populations, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range populations {
-		cold, err := SolveNetwork(NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: n}, opts)
+		cold, err := SolveNetworkCtx(context.Background(), NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: n}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,34 +83,6 @@ func NetworkBounds(m NetworkModel) (NetworkBoundsResult, error) {
 	}, nil
 }
 
-// BoundsResult is the two-station NetworkBoundsResult in the legacy
-// field layout.
-type BoundsResult struct {
-	Customers                       int
-	UpperX                          float64
-	LowerX                          float64
-	UpperDemandFront, UpperDemandDB float64 // mean demands used by the upper bound
-	LowerDemandFront, LowerDemandDB float64 // slow-phase demands used by the lower bound
-}
-
-// Bounds computes throughput bounds for the two-station model at its
-// population. It is a thin wrapper over NetworkBounds.
-func Bounds(m Model) (BoundsResult, error) {
-	nb, err := NetworkBounds(m.Network())
-	if err != nil {
-		return BoundsResult{}, err
-	}
-	return BoundsResult{
-		Customers:        nb.Customers,
-		UpperX:           nb.UpperX,
-		LowerX:           nb.LowerX,
-		UpperDemandFront: nb.UpperDemands[0],
-		UpperDemandDB:    nb.UpperDemands[1],
-		LowerDemandFront: nb.LowerDemands[0],
-		LowerDemandDB:    nb.LowerDemands[1],
-	}, nil
-}
-
 // slowPhaseDemand returns the mean service time conditional on the
 // slowest phase of the MAP: 1 over the smallest total completion rate
 // among phases.
@@ -131,19 +103,6 @@ func slowPhaseDemand(m *markov.MAP) (float64, error) {
 		return 0, errors.New("mapqn: MAP has no completing phase")
 	}
 	return 1 / min, nil
-}
-
-// BoundsSweep evaluates Bounds at each population.
-func BoundsSweep(front, db *markov.MAP, thinkTime float64, populations []int) ([]BoundsResult, error) {
-	out := make([]BoundsResult, 0, len(populations))
-	for _, n := range populations {
-		b, err := Bounds(Model{Front: front, DB: db, ThinkTime: thinkTime, Customers: n})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }
 
 // NetworkBoundsSweep evaluates NetworkBounds at each population.

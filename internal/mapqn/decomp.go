@@ -96,33 +96,21 @@ func (o DecompOptions) withDefaults() (DecompOptions, error) {
 // decomposition solver.
 const SolverMethodDecomp = "decomp"
 
-// SolveNetworkDecomp approximates the K-station network by per-station
-// decomposition instead of the exact product-space CTMC. See the package
-// comment at the top of this file for the algorithm; headline cost is
+// SolveNetworkDecompCtx approximates the K-station network by
+// per-station decomposition instead of the exact product-space CTMC. See
+// the comment at the top of this file for the algorithm; headline cost is
 // O(K*N*phases) states total versus the exact solver's combinatorial
-// product space.
-func SolveNetworkDecomp(m NetworkModel, opts DecompOptions) (NetworkMetrics, error) {
-	return SolveNetworkDecompCtx(context.Background(), m, opts)
-}
-
-// SolveNetworkDecompCtx is SolveNetworkDecomp with cooperative
-// cancellation, polled between fixed-point iterations.
+// product space. Cancellation is polled between fixed-point iterations.
 func SolveNetworkDecompCtx(ctx context.Context, m NetworkModel, opts DecompOptions) (NetworkMetrics, error) {
 	met, _, err := solveDecomp(ctx, m, opts, nil)
 	return met, err
 }
 
-// SolveNetworkDecompSweep solves the network approximately at each
+// SolveNetworkDecompSweepCtx solves the network approximately at each
 // population level. Consecutive populations warm-start the demand fixed
 // point from the previous converged effective demands, which typically
-// cuts the outer iterations to a handful.
-func SolveNetworkDecompSweep(stations []Station, thinkTime float64, customers []int, opts DecompOptions) ([]NetworkMetrics, error) {
-	return SolveNetworkDecompSweepCtx(context.Background(), stations, thinkTime, customers, opts, nil)
-}
-
-// SolveNetworkDecompSweepCtx is SolveNetworkDecompSweep with cooperative
-// cancellation and an optional progress callback (nil to disable),
-// mirroring SolveNetworkSweepCtx.
+// cuts the outer iterations to a handful. Cancellation and the optional
+// progress callback (nil to disable) mirror SolveNetworkSweepCtx.
 func SolveNetworkDecompSweepCtx(ctx context.Context, stations []Station, thinkTime float64, customers []int, opts DecompOptions, progress SweepProgress) ([]NetworkMetrics, error) {
 	out := make([]NetworkMetrics, 0, len(customers))
 	var warm []float64

@@ -1,6 +1,7 @@
 package mapqn
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -150,7 +151,7 @@ func (c goldenCase) run(t *testing.T) goldenCase {
 	out.Metrics, out.Error = nil, ""
 	z := float64(c.ThinkTime)
 	if c.Sweep {
-		mets, err := SolveNetworkDecompSweep(stations, z, c.Populations, DecompOptions{})
+		mets, err := SolveNetworkDecompSweepCtx(context.Background(), stations, z, c.Populations, DecompOptions{}, nil)
 		if err != nil {
 			out.Error = err.Error()
 			return out
@@ -161,7 +162,7 @@ func (c goldenCase) run(t *testing.T) goldenCase {
 		return out
 	}
 	for _, n := range c.Populations {
-		m, err := SolveNetworkDecomp(NetworkModel{
+		m, err := SolveNetworkDecompCtx(context.Background(), NetworkModel{
 			Stations: stations, ThinkTime: z, Customers: n, PhasesRunWhileIdle: c.PhasesRunWhileIdle,
 		}, DecompOptions{})
 		if err != nil {

@@ -47,7 +47,7 @@ func TestDecompProductFormExact(t *testing.T) {
 			stations[i] = Station{Name: fmt.Sprintf("s%d", i), MAP: expMAP(t, demands[i])}
 		}
 		m := NetworkModel{Stations: stations, ThinkTime: z, Customers: n}
-		ap, err := SolveNetworkDecomp(m, DecompOptions{})
+		ap, err := SolveNetworkDecompCtx(context.Background(), m, DecompOptions{})
 		if err != nil {
 			t.Fatalf("trial %d (K=%d N=%d): %v", trial, k, n, err)
 		}
@@ -68,7 +68,7 @@ func TestDecompProductFormExact(t *testing.T) {
 				trial, k, n, ap.Throughput, mv.Throughput, rel)
 		}
 
-		ex, err := SolveNetwork(m, ctmc.Options{Tol: 1e-10})
+		ex, err := SolveNetworkCtx(context.Background(), m, ctmc.Options{Tol: 1e-10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,11 +94,11 @@ func TestDecompK1Exact(t *testing.T) {
 				Customers:          n,
 				PhasesRunWhileIdle: idleRun,
 			}
-			ex, err := SolveNetwork(m, ctmc.Options{Tol: 1e-12})
+			ex, err := SolveNetworkCtx(context.Background(), m, ctmc.Options{Tol: 1e-12})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ap, err := SolveNetworkDecomp(m, DecompOptions{})
+			ap, err := SolveNetworkDecompCtx(context.Background(), m, DecompOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,11 +125,11 @@ func TestDecompAccuracyTwoTier(t *testing.T) {
 			ThinkTime: 0.5,
 			Customers: n,
 		}
-		ex, err := SolveNetwork(m, ctmc.Options{Tol: 1e-8})
+		ex, err := SolveNetworkCtx(context.Background(), m, ctmc.Options{Tol: 1e-8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ap, err := SolveNetworkDecomp(m, DecompOptions{})
+		ap, err := SolveNetworkDecompCtx(context.Background(), m, DecompOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestDecompSweepMatchesPerPopulation(t *testing.T) {
 	db := fitMAP(t, 0.003, 25, 0.01)
 	stations := []Station{{Name: "front", MAP: front}, {Name: "db", MAP: db}}
 	populations := []int{5, 15, 30, 60}
-	swept, err := SolveNetworkDecompSweep(stations, 0.5, populations, DecompOptions{})
+	swept, err := SolveNetworkDecompSweepCtx(context.Background(), stations, 0.5, populations, DecompOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDecompSweepMatchesPerPopulation(t *testing.T) {
 		t.Fatalf("sweep returned %d results, want %d", len(swept), len(populations))
 	}
 	for i, n := range populations {
-		solo, err := SolveNetworkDecomp(NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: n}, DecompOptions{})
+		solo, err := SolveNetworkDecompCtx(context.Background(), NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: n}, DecompOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestDecompNonConvergence(t *testing.T) {
 		ThinkTime: 0.5,
 		Customers: 50,
 	}
-	_, err := SolveNetworkDecomp(m, DecompOptions{MaxIter: 1})
+	_, err := SolveNetworkDecompCtx(context.Background(), m, DecompOptions{MaxIter: 1})
 	if !errors.Is(err, ctmc.ErrNoConvergence) {
 		t.Fatalf("MaxIter=1 error = %v, want ctmc.ErrNoConvergence in the chain", err)
 	}
@@ -216,7 +216,7 @@ func TestDecompOptionsValidation(t *testing.T) {
 		{Damping: -0.5},
 		{Damping: 1.5},
 	} {
-		if _, err := SolveNetworkDecomp(m, opts); err == nil {
+		if _, err := SolveNetworkDecompCtx(context.Background(), m, opts); err == nil {
 			t.Errorf("options %+v: expected a validation error", opts)
 		}
 	}
@@ -239,7 +239,7 @@ func TestDecompAllocations(t *testing.T) {
 	var met NetworkMetrics
 	allocs := testing.AllocsPerRun(2, func() {
 		var err error
-		if met, err = SolveNetworkDecomp(m, DecompOptions{}); err != nil {
+		if met, err = SolveNetworkDecompCtx(context.Background(), m, DecompOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,6 +1,7 @@
 package mapqn
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,17 +12,41 @@ import (
 	"repro/internal/xrand"
 )
 
+// The tests in this file exercise the paper's two-tier front+DB network,
+// the K=2 case of NetworkModel.
+
+// twoTier builds the paper's front+DB network.
+func twoTier(front, db *markov.MAP, z float64, n int) NetworkModel {
+	return NetworkModel{
+		Stations:  []Station{{Name: "front", MAP: front}, {Name: "db", MAP: db}},
+		ThinkTime: z,
+		Customers: n,
+	}
+}
+
+func solveTwoTier(t *testing.T, m NetworkModel) NetworkMetrics {
+	t.Helper()
+	got, err := SolveNetworkCtx(context.Background(), m, ctmc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestValidate(t *testing.T) {
 	p := markov.Poisson(1)
-	cases := []Model{
-		{Front: nil, DB: p, ThinkTime: 1, Customers: 1},
-		{Front: p, DB: nil, ThinkTime: 1, Customers: 1},
-		{Front: p, DB: p, ThinkTime: -1, Customers: 1},
-		{Front: p, DB: p, ThinkTime: 1, Customers: 0},
+	cases := []NetworkModel{
+		twoTier(nil, p, 1, 1),
+		twoTier(p, nil, 1, 1),
+		twoTier(p, p, -1, 1),
+		twoTier(p, p, 1, 0),
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
+		}
+		if _, err := SolveNetworkCtx(context.Background(), m, ctmc.Options{}); err == nil {
+			t.Errorf("case %d: expected solve error", i)
 		}
 	}
 }
@@ -33,13 +58,9 @@ func TestPoissonReducesToMVA(t *testing.T) {
 	sFS, sDB, z := 0.004, 0.007, 0.5
 	front := markov.Poisson(1 / sFS)
 	db := markov.Poisson(1 / sDB)
-	net := mva.Model(sFS, sDB, z)
+	net := mva.ModelN([]float64{sFS, sDB}, nil, z)
 	for _, n := range []int{1, 5, 25, 75} {
-		m := Model{Front: front, DB: db, ThinkTime: z, Customers: n}
-		got, err := Solve(m, ctmc.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := solveTwoTier(t, twoTier(front, db, z, n))
 		want, err := mva.Solve(net, n)
 		if err != nil {
 			t.Fatal(err)
@@ -47,11 +68,11 @@ func TestPoissonReducesToMVA(t *testing.T) {
 		if rel := math.Abs(got.Throughput-want.Throughput) / want.Throughput; rel > 1e-6 {
 			t.Errorf("N=%d: CTMC X = %v, MVA X = %v (rel %v)", n, got.Throughput, want.Throughput, rel)
 		}
-		if rel := math.Abs(got.QueueFront-want.QueueLengths[0]) / (want.QueueLengths[0] + 1e-12); rel > 1e-5 {
-			t.Errorf("N=%d: CTMC QF = %v, MVA QF = %v", n, got.QueueFront, want.QueueLengths[0])
+		if rel := math.Abs(got.QueueLens[0]-want.QueueLengths[0]) / (want.QueueLengths[0] + 1e-12); rel > 1e-5 {
+			t.Errorf("N=%d: CTMC QF = %v, MVA QF = %v", n, got.QueueLens[0], want.QueueLengths[0])
 		}
-		if math.Abs(got.UtilFront-want.Utilizations[0]) > 1e-6 {
-			t.Errorf("N=%d: CTMC UF = %v, MVA UF = %v", n, got.UtilFront, want.Utilizations[0])
+		if math.Abs(got.Utils[0]-want.Utilizations[0]) > 1e-6 {
+			t.Errorf("N=%d: CTMC UF = %v, MVA UF = %v", n, got.Utils[0], want.Utilizations[0])
 		}
 	}
 }
@@ -60,16 +81,7 @@ func TestSingleCustomerClosedForm(t *testing.T) {
 	// N=1: the customer cycles think -> front -> db. With exponential
 	// stations, X = 1/(Z + S_FS + S_DB) exactly.
 	sFS, sDB, z := 0.2, 0.3, 1.0
-	m := Model{
-		Front:     markov.Poisson(1 / sFS),
-		DB:        markov.Poisson(1 / sDB),
-		ThinkTime: z,
-		Customers: 1,
-	}
-	got, err := Solve(m, ctmc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := solveTwoTier(t, twoTier(markov.Poisson(1/sFS), markov.Poisson(1/sDB), z, 1))
 	want := 1 / (z + sFS + sDB)
 	if math.Abs(got.Throughput-want) > 1e-9 {
 		t.Errorf("X = %v, want %v", got.Throughput, want)
@@ -85,47 +97,23 @@ func TestBurstyServiceDegradesThroughput(t *testing.T) {
 	// population.
 	sFS, sDB, z := 0.004, 0.006, 0.5
 	front := markov.Poisson(1 / sFS)
-	smoothDB := markov.Poisson(1 / sDB)
-	fit, err := markov.FitThreePoint(sDB, 200, sDB*8, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	burstyDB := fit.MAP
+	burstyDB := fitMAP(t, sDB, 200, sDB*8)
 	n := 100
-	smooth, err := Solve(Model{Front: front, DB: smoothDB, ThinkTime: z, Customers: n}, ctmc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bursty, err := Solve(Model{Front: front, DB: burstyDB, ThinkTime: z, Customers: n}, ctmc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	smooth := solveTwoTier(t, twoTier(front, markov.Poisson(1/sDB), z, n))
+	bursty := solveTwoTier(t, twoTier(front, burstyDB, z, n))
 	t.Logf("X smooth = %.1f, X bursty = %.1f", smooth.Throughput, bursty.Throughput)
 	if bursty.Throughput >= smooth.Throughput {
 		t.Errorf("bursty X = %v should be below smooth X = %v", bursty.Throughput, smooth.Throughput)
 	}
 	// Queue builds at the bursty DB.
-	if bursty.QueueDB <= smooth.QueueDB {
-		t.Errorf("bursty QDB = %v should exceed smooth QDB = %v", bursty.QueueDB, smooth.QueueDB)
+	if bursty.QueueLens[1] <= smooth.QueueLens[1] {
+		t.Errorf("bursty QDB = %v should exceed smooth QDB = %v", bursty.QueueLens[1], smooth.QueueLens[1])
 	}
 }
 
 func TestCustomerConservation(t *testing.T) {
-	fit, err := markov.FitThreePoint(0.005, 50, 0.03, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Model{
-		Front:     markov.Poisson(1 / 0.003),
-		DB:        fit.MAP,
-		ThinkTime: 0.5,
-		Customers: 40,
-	}
-	got, err := Solve(m, ctmc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := got.QueueFront + got.QueueDB + got.Thinking
+	got := solveTwoTier(t, twoTier(markov.Poisson(1/0.003), fitMAP(t, 0.005, 50, 0.03), 0.5, 40))
+	total := got.QueueLens[0] + got.QueueLens[1] + got.Thinking
 	if math.Abs(total-40) > 1e-6 {
 		t.Errorf("customer conservation violated: %v != 40", total)
 	}
@@ -137,15 +125,8 @@ func TestCustomerConservation(t *testing.T) {
 }
 
 func TestThroughputMonotoneInPopulation(t *testing.T) {
-	fitF, err := markov.FitThreePoint(0.004, 40, 0.02, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitD, err := markov.FitThreePoint(0.005, 100, 0.04, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mets, err := SolveSweep(fitF.MAP, fitD.MAP, 0.5, []int{1, 5, 10, 20, 40, 80}, ctmc.Options{})
+	stations := twoTier(fitMAP(t, 0.004, 40, 0.02), fitMAP(t, 0.005, 100, 0.04), 0.5, 1).Stations
+	mets, err := SolveNetworkSweepCtx(context.Background(), stations, 0.5, []int{1, 5, 10, 20, 40, 80}, ctmc.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,76 +136,64 @@ func TestThroughputMonotoneInPopulation(t *testing.T) {
 			t.Errorf("throughput decreased at sweep index %d: %v -> %v", i, prev, met.Throughput)
 		}
 		prev = met.Throughput
-		if met.UtilFront < 0 || met.UtilFront > 1+1e-9 || met.UtilDB < 0 || met.UtilDB > 1+1e-9 {
-			t.Errorf("utilization out of range: %+v", met)
+		for s, u := range met.Utils {
+			if u < 0 || u > 1+1e-9 {
+				t.Errorf("sweep index %d: station %d utilization %v out of range", i, s, u)
+			}
 		}
 	}
 }
 
 func TestThroughputBoundedByBottleneck(t *testing.T) {
 	// X <= 1/max(S_FS, S_DB) regardless of burstiness.
-	fit, err := markov.FitThreePoint(0.01, 300, 0.08, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Model{
-		Front:     markov.Poisson(1 / 0.002),
-		DB:        fit.MAP,
-		ThinkTime: 0.25,
-		Customers: 60,
-	}
-	got, err := Solve(m, ctmc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := solveTwoTier(t, twoTier(markov.Poisson(1/0.002), fitMAP(t, 0.01, 300, 0.08), 0.25, 60))
 	if got.Throughput > 1/0.01+1e-9 {
 		t.Errorf("X = %v exceeds bottleneck bound %v", got.Throughput, 1/0.01)
 	}
 }
 
+// TestStateSpaceIndexRoundTrip checks that the K=2 state layout is the
+// paper model's triangular one: for each (n1, n2) pair in order of n1,
+// then n2, a block of m1*m2 phase combinations.
 func TestStateSpaceIndexRoundTrip(t *testing.T) {
-	s := newStateSpace(7, 2, 3)
-	seen := make(map[int]bool)
-	for n1 := 0; n1 <= 7; n1++ {
-		for n2 := 0; n2 <= 7-n1; n2++ {
-			for j1 := 0; j1 < 2; j1++ {
-				for j2 := 0; j2 < 3; j2++ {
-					idx := s.index(n1, n2, j1, j2)
-					if idx < 0 || idx >= s.size() {
-						t.Fatalf("index out of range: %d", idx)
+	const n, m1, m2 = 7, 2, 3
+	s := newStateSpaceN(n, []int{m1, m2})
+	pop, phase := make([]int, 2), make([]int, 2)
+	pair := 0
+	for n1 := 0; n1 <= n; n1++ {
+		for n2 := 0; n2 <= n-n1; n2++ {
+			for j1 := 0; j1 < m1; j1++ {
+				for j2 := 0; j2 < m2; j2++ {
+					want := (pair*m1+j1)*m2 + j2
+					idx := s.index([]int{n1, n2}, j1*m2+j2)
+					if idx != want {
+						t.Fatalf("index(%d,%d,%d,%d) = %d, want %d", n1, n2, j1, j2, idx, want)
 					}
-					if seen[idx] {
-						t.Fatalf("duplicate index %d", idx)
-					}
-					seen[idx] = true
-					a, b, c, d := s.decode(idx)
-					if a != n1 || b != n2 || c != j1 || d != j2 {
-						t.Fatalf("decode(%d) = (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-							idx, a, b, c, d, n1, n2, j1, j2)
+					s.decode(idx, pop, phase)
+					if pop[0] != n1 || pop[1] != n2 || phase[0] != j1 || phase[1] != j2 {
+						t.Fatalf("decode(%d) = %v/%v, want (%d,%d)/(%d,%d)", idx, pop, phase, n1, n2, j1, j2)
 					}
 				}
 			}
+			pair++
 		}
 	}
-	if len(seen) != s.size() {
-		t.Fatalf("enumerated %d states, size() = %d", len(seen), s.size())
+	if got := pair * m1 * m2; got != s.size() {
+		t.Fatalf("enumerated %d states, size() = %d", got, s.size())
 	}
 }
 
 func TestGeneratorIsValid(t *testing.T) {
-	fit, err := markov.FitThreePoint(0.005, 80, 0.03, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Model{
-		Front:     markov.Poisson(1 / 0.004),
-		DB:        fit.MAP,
-		ThinkTime: 0.5,
-		Customers: 12,
-	}
-	gen, _ := buildGenerator(m)
-	if err := ctmc.ValidateGenerator(gen); err != nil {
-		t.Errorf("generator invalid: %v", err)
+	for _, idle := range []bool{false, true} {
+		m := twoTier(markov.Poisson(1/0.004), fitMAP(t, 0.005, 80, 0.03), 0.5, 12)
+		m.PhasesRunWhileIdle = idle
+		gen, _, err := buildGeneratorN(context.Background(), m, []*markov.MAP{m.Stations[0].MAP, m.Stations[1].MAP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctmc.ValidateGenerator(gen); err != nil {
+			t.Errorf("idle=%v: generator invalid: %v", idle, err)
+		}
 	}
 }
 
@@ -242,23 +211,22 @@ func TestPropModelConsistency(t *testing.T) {
 		}
 		n := 1 + src.Intn(30)
 		z := 0.1 + src.Float64()
-		m := Model{Front: markov.Poisson(1 / sFS), DB: fit.MAP, ThinkTime: z, Customers: n}
-		got, err := Solve(m, ctmc.Options{})
+		got, err := SolveNetworkCtx(context.Background(), twoTier(markov.Poisson(1/sFS), fit.MAP, z, n), ctmc.Options{})
 		if err != nil {
 			return false
 		}
 		if got.Throughput <= 0 || got.Throughput > 1/math.Max(sFS, sDB)+1e-9 {
 			return false
 		}
-		total := got.QueueFront + got.QueueDB + got.Thinking
+		total := got.QueueLens[0] + got.QueueLens[1] + got.Thinking
 		if math.Abs(total-float64(n)) > 1e-6*float64(n) {
 			return false
 		}
 		// Utilization law: U_i = X * S_i.
-		if math.Abs(got.UtilFront-got.Throughput*sFS) > 1e-5 {
+		if math.Abs(got.Utils[0]-got.Throughput*sFS) > 1e-5 {
 			return false
 		}
-		if math.Abs(got.UtilDB-got.Throughput*sDB) > 1e-5 {
+		if math.Abs(got.Utils[1]-got.Throughput*sDB) > 1e-5 {
 			return false
 		}
 		return true
@@ -269,21 +237,8 @@ func TestPropModelConsistency(t *testing.T) {
 }
 
 func TestQueueDistributionsConsistent(t *testing.T) {
-	fit, err := markov.FitThreePoint(0.005, 60, 0.03, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Model{
-		Front:     markov.Poisson(1 / 0.004),
-		DB:        fit.MAP,
-		ThinkTime: 0.5,
-		Customers: 20,
-	}
-	got, err := Solve(m, ctmc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dist := range [][]float64{got.QueueDistFront, got.QueueDistDB} {
+	got := solveTwoTier(t, twoTier(markov.Poisson(1/0.004), fitMAP(t, 0.005, 60, 0.03), 0.5, 20))
+	for s, dist := range got.QueueDists {
 		if len(dist) != 21 {
 			t.Fatalf("distribution length = %d, want 21", len(dist))
 		}
@@ -296,20 +251,16 @@ func TestQueueDistributionsConsistent(t *testing.T) {
 			mean += float64(k) * p
 		}
 		if math.Abs(sum-1) > 1e-6 {
-			t.Errorf("distribution sums to %v", sum)
+			t.Errorf("station %d: distribution sums to %v", s, sum)
 		}
-	}
-	// Mean of the distribution must match the reported mean queue length.
-	meanF := 0.0
-	for k, p := range got.QueueDistFront {
-		meanF += float64(k) * p
-	}
-	if math.Abs(meanF-got.QueueFront) > 1e-9 {
-		t.Errorf("dist mean %v vs QueueFront %v", meanF, got.QueueFront)
-	}
-	// P(idle) complements utilization.
-	if math.Abs(got.QueueDistFront[0]-(1-got.UtilFront)) > 1e-9 {
-		t.Errorf("P(empty front) = %v, 1-U = %v", got.QueueDistFront[0], 1-got.UtilFront)
+		// The distribution's mean is the reported mean queue length, and
+		// P(idle) complements utilization.
+		if math.Abs(mean-got.QueueLens[s]) > 1e-9 {
+			t.Errorf("station %d: dist mean %v vs queue length %v", s, mean, got.QueueLens[s])
+		}
+		if math.Abs(dist[0]-(1-got.Utils[s])) > 1e-9 {
+			t.Errorf("station %d: P(empty) = %v, 1-U = %v", s, dist[0], 1-got.Utils[s])
+		}
 	}
 }
 
@@ -318,18 +269,8 @@ func TestBurstyQueueTailHeavierThanPoisson(t *testing.T) {
 	// analogue of the paper's Fig. 6 spikes).
 	n := 30
 	front := markov.Poisson(1 / 0.004)
-	fit, err := markov.FitThreePoint(0.005, 150, 0.03, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smooth, err := Solve(Model{Front: front, DB: markov.Poisson(1 / 0.005), ThinkTime: 0.5, Customers: n}, ctmc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bursty, err := Solve(Model{Front: front, DB: fit.MAP, ThinkTime: 0.5, Customers: n}, ctmc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	smooth := solveTwoTier(t, twoTier(front, markov.Poisson(1/0.005), 0.5, n))
+	bursty := solveTwoTier(t, twoTier(front, fitMAP(t, 0.005, 150, 0.03), 0.5, n))
 	tail := func(dist []float64, from int) float64 {
 		s := 0.0
 		for k := from; k < len(dist); k++ {
@@ -337,7 +278,7 @@ func TestBurstyQueueTailHeavierThanPoisson(t *testing.T) {
 		}
 		return s
 	}
-	tb, ts := tail(bursty.QueueDistDB, 20), tail(smooth.QueueDistDB, 20)
+	tb, ts := tail(bursty.QueueDists[1], 20), tail(smooth.QueueDists[1], 20)
 	t.Logf("P(Qdb >= 20): bursty %.4g vs poisson %.4g", tb, ts)
 	if tb <= ts {
 		t.Errorf("bursty DB tail %v should exceed Poisson tail %v", tb, ts)
@@ -345,24 +286,14 @@ func TestBurstyQueueTailHeavierThanPoisson(t *testing.T) {
 }
 
 func TestBoundsBracketExactSolution(t *testing.T) {
-	fitF, err := markov.FitThreePoint(0.006, 30, 0.02, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitD, err := markov.FitThreePoint(0.004, 120, 0.025, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	front, db := fitMAP(t, 0.006, 30, 0.02), fitMAP(t, 0.004, 120, 0.025)
 	for _, n := range []int{5, 25, 75} {
-		m := Model{Front: fitF.MAP, DB: fitD.MAP, ThinkTime: 0.5, Customers: n}
-		b, err := Bounds(m)
+		m := twoTier(front, db, 0.5, n)
+		b, err := NetworkBounds(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := Solve(m, ctmc.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		exact := solveTwoTier(t, m)
 		t.Logf("N=%3d lower=%7.2f exact=%7.2f upper=%7.2f", n, b.LowerX, exact.Throughput, b.UpperX)
 		if exact.Throughput > b.UpperX*1.001 {
 			t.Errorf("N=%d: exact X %v above upper bound %v", n, exact.Throughput, b.UpperX)
@@ -379,11 +310,8 @@ func TestBoundsBracketExactSolution(t *testing.T) {
 func TestBoundsScaleToLargePopulations(t *testing.T) {
 	// The paper's Z=7s scenario needs ~1200 EBs — far beyond exact CTMC
 	// reach; bounds must answer instantly.
-	fitD, err := markov.FitThreePoint(0.004, 300, 0.03, markov.FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep, err := BoundsSweep(markov.Poisson(1/0.006), fitD.MAP, 7.0, []int{300, 600, 1200})
+	stations := twoTier(markov.Poisson(1/0.006), fitMAP(t, 0.004, 300, 0.03), 7, 1).Stations
+	sweep, err := NetworkBoundsSweep(stations, 7.0, []int{300, 600, 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +328,10 @@ func TestBoundsScaleToLargePopulations(t *testing.T) {
 }
 
 func TestBoundsValidation(t *testing.T) {
-	if _, err := Bounds(Model{}); err == nil {
+	if _, err := NetworkBounds(NetworkModel{}); err == nil {
 		t.Error("expected validation error")
+	}
+	if _, err := NetworkBounds(twoTier(markov.Poisson(1), nil, 0.5, 10)); err == nil {
+		t.Error("expected validation error for a station without a MAP")
 	}
 }

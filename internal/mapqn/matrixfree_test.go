@@ -189,11 +189,11 @@ func TestMatrixFreeSolveMatchesCSR(t *testing.T) {
 	}
 	for _, customers := range []int{3, 9} {
 		model := NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: customers}
-		csr, err := SolveNetwork(model, ctmc.Options{Tol: 1e-12, Backend: ctmc.BackendCSR})
+		csr, err := SolveNetworkCtx(context.Background(), model, ctmc.Options{Tol: 1e-12, Backend: ctmc.BackendCSR})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mf, err := SolveNetwork(model, ctmc.Options{Tol: 1e-12, Backend: ctmc.BackendMatrixFree})
+		mf, err := SolveNetworkCtx(context.Background(), model, ctmc.Options{Tol: 1e-12, Backend: ctmc.BackendMatrixFree})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,12 +231,12 @@ func TestMatrixFreeWarmSweepMatchesColdSolves(t *testing.T) {
 	}
 	opts := ctmc.Options{Tol: 1e-12, Backend: ctmc.BackendMatrixFree}
 	populations := []int{6, 20, 30, 25} // mixes dense-LU (small) and iterative (large) solves
-	warm, err := SolveNetworkSweep(stations, 0.5, populations, opts)
+	warm, err := SolveNetworkSweepCtx(context.Background(), stations, 0.5, populations, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range populations {
-		cold, err := SolveNetwork(NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: n}, opts)
+		cold, err := SolveNetworkCtx(context.Background(), NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: n}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,11 +267,11 @@ func TestK4MatrixFreeMatchesCSRAndBounds(t *testing.T) {
 	// their agreement is exact at any tolerance; 1e-8 keeps the bursty
 	// chain's solve time test-friendly.
 	model := NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: 8}
-	csr, err := SolveNetwork(model, ctmc.Options{Tol: 1e-8, Backend: ctmc.BackendCSR})
+	csr, err := SolveNetworkCtx(context.Background(), model, ctmc.Options{Tol: 1e-8, Backend: ctmc.BackendCSR})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf, err := SolveNetwork(model, ctmc.Options{Tol: 1e-8, Backend: ctmc.BackendMatrixFree})
+	mf, err := SolveNetworkCtx(context.Background(), model, ctmc.Options{Tol: 1e-8, Backend: ctmc.BackendMatrixFree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestK4MatrixFreeMatchesCSRAndBounds(t *testing.T) {
 		return
 	}
 	big := NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: 12}
-	met, err := SolveNetwork(big, ctmc.Options{Tol: 1e-8, Backend: ctmc.BackendMatrixFree})
+	met, err := SolveNetworkCtx(context.Background(), big, ctmc.Options{Tol: 1e-8, Backend: ctmc.BackendMatrixFree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestStateLimitError(t *testing.T) {
 		Stations:  []Station{{Name: "front", MAP: front}, {Name: "db", MAP: db}},
 		ThinkTime: 0.5, Customers: 50, // 1326 compositions x 4 phases = 5304 states
 	}
-	_, err := SolveNetwork(model, ctmc.Options{MaxStates: 1000})
+	_, err := SolveNetworkCtx(context.Background(), model, ctmc.Options{MaxStates: 1000})
 	if err == nil {
 		t.Fatal("expected a state-limit error")
 	}
@@ -359,7 +359,7 @@ func TestStateLimitError(t *testing.T) {
 			t.Fatalf("limit error %q does not mention %q", err, want)
 		}
 	}
-	_, err = SolveNetwork(model, ctmc.Options{MaxStates: 1000, Backend: ctmc.BackendMatrixFree})
+	_, err = SolveNetworkCtx(context.Background(), model, ctmc.Options{MaxStates: 1000, Backend: ctmc.BackendMatrixFree})
 	if err == nil {
 		t.Fatal("expected a state-limit error under the matrix-free backend")
 	}

@@ -49,7 +49,7 @@ func (s Station) effectiveMAP() (*markov.MAP, error) {
 // NetworkModel is a closed tandem network of K MAP-service stations plus
 // a delay station (user think time), populated by a fixed number of
 // customers. It generalizes the paper's two-station model (Fig. 9) to
-// any number of tiers; Model{Front, DB} is the K=2 special case.
+// any number of tiers; the paper's front+DB network is the K=2 case.
 type NetworkModel struct {
 	// Stations are the queueing stations in visit order.
 	Stations []Station
@@ -57,8 +57,13 @@ type NetworkModel struct {
 	ThinkTime float64
 	// Customers is the number of emulated browsers N.
 	Customers int
-	// PhasesRunWhileIdle selects the idle-station semantics (see
-	// Model.PhasesRunWhileIdle).
+	// PhasesRunWhileIdle selects the idle-station semantics. The default
+	// (false) freezes a station's MAP phase while its queue is empty —
+	// the service process only advances when work is done, the semantics
+	// of MAP queueing networks and of this paper. When true, the
+	// modulating chain Q = D0+D1 keeps evolving during idleness (as if
+	// the burstiness stemmed from an external environment); the ablation
+	// experiment quantifies the difference.
 	PhasesRunWhileIdle bool
 }
 
@@ -133,33 +138,13 @@ type NetworkMetrics struct {
 	FixedPointResidual float64 `json:"fixed_point_residual,omitempty"`
 }
 
-// AsTwoTier converts K=2 network metrics to the legacy two-station
-// Metrics layout.
-func (nm NetworkMetrics) AsTwoTier() (Metrics, error) {
-	if len(nm.Utils) != 2 {
-		return Metrics{}, fmt.Errorf("mapqn: AsTwoTier on %d-station metrics", len(nm.Utils))
-	}
-	return Metrics{
-		Throughput:       nm.Throughput,
-		ResponseTime:     nm.ResponseTime,
-		UtilFront:        nm.Utils[0],
-		UtilDB:           nm.Utils[1],
-		QueueFront:       nm.QueueLens[0],
-		QueueDB:          nm.QueueLens[1],
-		Thinking:         nm.Thinking,
-		QueueDistFront:   nm.QueueDists[0],
-		QueueDistDB:      nm.QueueDists[1],
-		States:           nm.States,
-		SolverIterations: nm.SolverIterations,
-		SolverMethod:     nm.SolverMethod,
-	}, nil
-}
-
 // stateSpaceN enumerates the CTMC states of a K-station network:
 // (n_0..n_{K-1}, j_0..j_{K-1}) with sum n_i <= N and j_i a phase of
 // station i's MAP. Population vectors are ranked in lexicographic order
 // via the combinatorial number system; phases are a mixed-radix suffix.
-// For K=2 this reproduces the legacy stateSpace layout exactly.
+// For K=2 this is the paper model's triangular layout: (n1, n2) pairs
+// in order of n1, then n2, each a block of m1*m2 phase combinations
+// (pinned by TestStateSpaceIndexRoundTrip).
 type stateSpaceN struct {
 	n         int   // population
 	phases    []int // phase count per station
@@ -372,15 +357,10 @@ func errStateLimit(k, n, size, limit int, backend ctmc.Backend) error {
 		k, n, size, backend, limit, hint, ErrStateLimit)
 }
 
-// SolveNetwork builds and solves the K-station CTMC exactly, returning
-// stationary per-station metrics.
-func SolveNetwork(m NetworkModel, opts ctmc.Options) (NetworkMetrics, error) {
-	return SolveNetworkCtx(context.Background(), m, opts)
-}
-
-// SolveNetworkCtx is SolveNetwork with cooperative cancellation: both the
-// generator assembly and the iterative steady-state solve poll ctx and
-// return ctx.Err() promptly when the context is done.
+// SolveNetworkCtx builds and solves the K-station CTMC exactly, returning
+// stationary per-station metrics. Both the generator assembly and the
+// iterative steady-state solve poll ctx and return ctx.Err() promptly
+// when the context is done.
 func SolveNetworkCtx(ctx context.Context, m NetworkModel, opts ctmc.Options) (NetworkMetrics, error) {
 	met, _, err := solveNetwork(ctx, m, opts, nil)
 	return met, err
@@ -574,7 +554,13 @@ func collectMetricsN(m NetworkModel, maps []*markov.MAP, space *stateSpaceN, res
 	}, nil
 }
 
-// SolveNetworkSweep solves the network at each population level. Each
+// SweepProgress observes a population sweep: it is called once after each
+// population's solve completes, with the index into the sweep, the
+// population just solved, and its metrics. Callbacks run synchronously on
+// the solving goroutine.
+type SweepProgress func(index, population int, met NetworkMetrics)
+
+// SolveNetworkSweepCtx solves the network at each population level. Each
 // population is its own CTMC, but consecutive populations are solved
 // warm-started: the previous stationary vector is embedded into the next
 // population's state space (the extra states start at zero mass) and
@@ -582,20 +568,10 @@ func collectMetricsN(m NetworkModel, maps []*markov.MAP, space *stateSpaceN, res
 // the cold-start iterations. Convergence is still checked against the
 // same residual tolerance, so warm-started results match cold-started
 // ones to within solver tolerance.
-func SolveNetworkSweep(stations []Station, thinkTime float64, customers []int, opts ctmc.Options) ([]NetworkMetrics, error) {
-	return SolveNetworkSweepCtx(context.Background(), stations, thinkTime, customers, opts, nil)
-}
-
-// SweepProgress observes a population sweep: it is called once after each
-// population's solve completes, with the index into the sweep, the
-// population just solved, and its metrics. Callbacks run synchronously on
-// the solving goroutine.
-type SweepProgress func(index, population int, met NetworkMetrics)
-
-// SolveNetworkSweepCtx is SolveNetworkSweep with cooperative cancellation
-// and an optional progress callback (nil to disable). Cancellation is
-// polled inside each population's assembly and solve, so a canceled sweep
-// returns ctx.Err() within one sweep step.
+//
+// progress (nil to disable) observes each solved population.
+// Cancellation is polled inside each population's assembly and solve, so
+// a canceled sweep returns ctx.Err() within one sweep step.
 func SolveNetworkSweepCtx(ctx context.Context, stations []Station, thinkTime float64, customers []int, opts ctmc.Options, progress SweepProgress) ([]NetworkMetrics, error) {
 	out := make([]NetworkMetrics, 0, len(customers))
 	var prev *networkSolution

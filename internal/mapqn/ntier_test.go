@@ -19,101 +19,6 @@ func fitMAP(t *testing.T, mean, i, p95 float64) *markov.MAP {
 	return fit.MAP
 }
 
-// TestNetworkMatchesLegacyTwoTier is the refactor's safety net: the
-// generic K-station solver instantiated at K=2 must reproduce the
-// hardwired two-station solver to within 1e-9 on every metric. The small
-// instance is solved by the direct dense method, the large one by
-// Gauss-Seidel, covering both solver paths.
-func TestNetworkMatchesLegacyTwoTier(t *testing.T) {
-	front := fitMAP(t, 0.004, 40, 0.02)
-	db := fitMAP(t, 0.005, 150, 0.04)
-	for _, n := range []int{1, 8, 12, 40} {
-		m := Model{Front: front, DB: db, ThinkTime: 0.5, Customers: n}
-		legacy, err := solveLegacy(m, ctmc.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		generic, err := SolveNetwork(m.Network(), ctmc.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		two, err := generic.AsTwoTier()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if two.States != legacy.States {
-			t.Fatalf("N=%d: state count %d != legacy %d", n, two.States, legacy.States)
-		}
-		close := func(name string, got, want float64) {
-			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
-				t.Errorf("N=%d: %s = %v, legacy %v", n, name, got, want)
-			}
-		}
-		close("X", two.Throughput, legacy.Throughput)
-		close("R", two.ResponseTime, legacy.ResponseTime)
-		close("UF", two.UtilFront, legacy.UtilFront)
-		close("UD", two.UtilDB, legacy.UtilDB)
-		close("QF", two.QueueFront, legacy.QueueFront)
-		close("QD", two.QueueDB, legacy.QueueDB)
-		close("think", two.Thinking, legacy.Thinking)
-		for k := range legacy.QueueDistFront {
-			close("distF", two.QueueDistFront[k], legacy.QueueDistFront[k])
-			close("distD", two.QueueDistDB[k], legacy.QueueDistDB[k])
-		}
-	}
-}
-
-// TestGeneratorMatchesLegacyTwoTier checks structural equivalence at the
-// generator level: the K=2 generic state layout is identical to the
-// legacy triangular layout, so the two sparse generators must agree
-// entry by entry.
-func TestGeneratorMatchesLegacyTwoTier(t *testing.T) {
-	m := Model{
-		Front:     fitMAP(t, 0.004, 30, 0.02),
-		DB:        fitMAP(t, 0.006, 90, 0.03),
-		ThinkTime: 0.5,
-		Customers: 9,
-	}
-	legacyGen, _ := buildGenerator(m)
-	nm := m.Network()
-	maps := []*markov.MAP{m.Front, m.DB}
-	genericGen, _, err := buildGeneratorN(context.Background(), nm, maps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyGen.N != genericGen.N {
-		t.Fatalf("dimension %d != %d", genericGen.N, legacyGen.N)
-	}
-	lr, gr := legacyGen.RowSums(), genericGen.RowSums()
-	for r := 0; r < legacyGen.N; r++ {
-		if math.Abs(lr[r]-gr[r]) > 1e-9 {
-			t.Fatalf("row %d sum %v != %v", r, gr[r], lr[r])
-		}
-	}
-	// Dense comparison of every entry.
-	for r := 0; r < legacyGen.N; r++ {
-		want := make(map[int]float64)
-		for k := legacyGen.RowPtr[r]; k < legacyGen.RowPtr[r+1]; k++ {
-			want[legacyGen.ColIdx[k]] += legacyGen.Vals[k]
-		}
-		got := make(map[int]float64)
-		for k := genericGen.RowPtr[r]; k < genericGen.RowPtr[r+1]; k++ {
-			got[genericGen.ColIdx[k]] += genericGen.Vals[k]
-		}
-		for c, v := range want {
-			if math.Abs(got[c]-v) > 1e-12*math.Max(1, math.Abs(v)) {
-				t.Fatalf("entry (%d,%d): generic %v, legacy %v", r, c, got[c], v)
-			}
-			delete(got, c)
-		}
-		for c, v := range got {
-			if math.Abs(v) > 1e-12 {
-				t.Fatalf("generic has extra entry (%d,%d) = %v", r, c, v)
-			}
-		}
-	}
-}
-
 // TestThreeStationPoissonReducesToMVA cross-validates the K=3 CTMC
 // against exact MVA: with exponential service at every station the
 // network is product-form, so the two solutions must coincide.
@@ -127,7 +32,7 @@ func TestThreeStationPoissonReducesToMVA(t *testing.T) {
 	}
 	net := mva.ModelN(demands, []string{"front", "app", "db"}, z)
 	for _, n := range []int{1, 5, 20, 50} {
-		got, err := SolveNetwork(NetworkModel{Stations: stations, ThinkTime: z, Customers: n}, ctmc.Options{})
+		got, err := SolveNetworkCtx(context.Background(), NetworkModel{Stations: stations, ThinkTime: z, Customers: n}, ctmc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +64,7 @@ func TestThreeStationSanity(t *testing.T) {
 		{Name: "app", MAP: fitMAP(t, 0.005, 120, 0.03)}, // bursty middle tier
 		{Name: "db", MAP: markov.Poisson(1 / 0.003)},
 	}
-	mets, err := SolveNetworkSweep(stations, 0.5, []int{1, 4, 10, 20, 35}, ctmc.Options{})
+	mets, err := SolveNetworkSweepCtx(context.Background(), stations, 0.5, []int{1, 4, 10, 20, 35}, ctmc.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +121,14 @@ func TestBurstyMiddleTierDegradesThroughput(t *testing.T) {
 	smoothApp := markov.Poisson(1 / 0.006)
 	burstyApp := fitMAP(t, 0.006, 200, 0.05)
 	n := 40
-	smooth, err := SolveNetwork(NetworkModel{
+	smooth, err := SolveNetworkCtx(context.Background(), NetworkModel{
 		Stations:  []Station{{MAP: front}, {MAP: smoothApp}, {MAP: db}},
 		ThinkTime: 0.5, Customers: n,
 	}, ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty, err := SolveNetwork(NetworkModel{
+	bursty, err := SolveNetworkCtx(context.Background(), NetworkModel{
 		Stations:  []Station{{MAP: front}, {MAP: burstyApp}, {MAP: db}},
 		ThinkTime: 0.5, Customers: n,
 	}, ctmc.Options{})
@@ -314,7 +219,7 @@ func TestVisitRatioScalesDemand(t *testing.T) {
 		{Name: "front", MAP: markov.Poisson(1 / 0.004), Visits: 1},
 		{Name: "db", MAP: markov.Poisson(1 / 0.003), Visits: 2},
 	}
-	got, err := SolveNetwork(NetworkModel{Stations: stations, ThinkTime: z, Customers: 20}, ctmc.Options{})
+	got, err := SolveNetworkCtx(context.Background(), NetworkModel{Stations: stations, ThinkTime: z, Customers: 20}, ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +246,7 @@ func TestNetworkBoundsBracketThreeTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := SolveNetwork(m, ctmc.Options{})
+		exact, err := SolveNetworkCtx(context.Background(), m, ctmc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,16 +275,13 @@ func TestNetworkValidation(t *testing.T) {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
-	if _, err := (NetworkMetrics{}).AsTwoTier(); err == nil {
-		t.Error("AsTwoTier on empty metrics should fail")
-	}
 }
 
 // TestSingleStationNetwork: K=1 degenerates to a machine-repair-style
 // M/MAP/1//N system; with exponential service the closed form at N=1 is
 // X = 1/(Z+S).
 func TestSingleStationNetwork(t *testing.T) {
-	got, err := SolveNetwork(NetworkModel{
+	got, err := SolveNetworkCtx(context.Background(), NetworkModel{
 		Stations:  []Station{{Name: "only", MAP: markov.Poisson(1 / 0.2)}},
 		ThinkTime: 0.8,
 		Customers: 1,

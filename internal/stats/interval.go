@@ -3,7 +3,7 @@ package stats
 import "math"
 
 // Interval is a mean with a symmetric confidence half-width, the summary
-// RunReplicas-style multi-replica experiments report per metric.
+// RunReplicasCtx-style multi-replica experiments report per metric.
 type Interval struct {
 	// Mean is the sample mean across replicas.
 	Mean float64 `json:"mean"`

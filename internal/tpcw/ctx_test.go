@@ -94,25 +94,24 @@ func TestRunReplicasCtxProgress(t *testing.T) {
 	}
 }
 
-// TestRunReplicasCtxMatchesLegacy: the ctx-aware path with a background
-// context reproduces RunReplicas bit-identically (same seed derivation,
-// same slots).
+// TestRunReplicasCtxMatchesLegacy: every replica is exactly a single
+// RunNCtx run at its derived seed, whichever worker ran it.
 func TestRunReplicasCtxMatchesLegacy(t *testing.T) {
 	cfg := quickConfig(t)
-	a, err := RunReplicas(cfg, 2, 1)
+	rr, err := RunReplicasCtx(context.Background(), cfg, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReplicasCtx(context.Background(), cfg, 2, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Throughput != b.Throughput || a.MeanResponse != b.MeanResponse {
-		t.Fatalf("ctx path diverges from legacy: %+v vs %+v", a.Throughput, b.Throughput)
-	}
-	for i := range a.Seeds {
-		if a.Seeds[i] != b.Seeds[i] {
-			t.Fatalf("seed[%d] differs", i)
+	for r, seed := range rr.Seeds {
+		c := cfg
+		c.Seed = seed
+		single, err := RunNCtx(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single.Throughput != rr.Results[r].Throughput || single.Completed != rr.Results[r].Completed {
+			t.Fatalf("replica %d diverges from a single run at seed %d: X %v vs %v",
+				r, seed, rr.Results[r].Throughput, single.Throughput)
 		}
 	}
 }

@@ -13,11 +13,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// ZeroWindow is a sentinel for ConfigN.Warmup / ConfigN.Cooldown (and the
-// same fields of the legacy Config) meaning "exactly zero seconds". A
-// literal 0 in those fields means unset and is replaced by the default
-// (120 s warm-up, 60 s cool-down); any negative value is normalized to an
-// explicit zero-length window.
+// ZeroWindow is a sentinel for ConfigN.Warmup / ConfigN.Cooldown meaning
+// "exactly zero seconds". A literal 0 in those fields means unset and is
+// replaced by the default (120 s warm-up, 60 s cool-down); any negative
+// value is normalized to an explicit zero-length window.
 const ZeroWindow = -1.0
 
 // TierDemand describes the load one transaction type places on one tier:
@@ -79,10 +78,12 @@ func resolveTierNames(tiers []TierConfig) []string {
 	return names
 }
 
-// ConfigN parameterizes one N-tier testbed run: the generalization of the
-// legacy two-tier Config to an arbitrary tandem of PS tiers. Transactions
-// visit tiers in slice order (tier 0 first, the database last), making
-// MinPasses..MaxPasses sequential passes at each tier before moving on.
+// ConfigN parameterizes one testbed run, mirroring the paper's
+// experimental settings (Section 3.1-3.2) over an arbitrary tandem of PS
+// tiers; DefaultTiers(mix, 2) is the paper's front+DB deployment.
+// Transactions visit tiers in slice order (tier 0 first, the database
+// last), making MinPasses..MaxPasses sequential passes at each tier
+// before moving on.
 type ConfigN struct {
 	// Mix supplies the transaction mix weights driving the CBMG. The
 	// mix's FrontContention/DBContention fields are ignored here: each
@@ -133,7 +134,7 @@ func defaultWindow(v, def float64) float64 {
 
 // WithDefaults returns the configuration with unset fields replaced by
 // the testbed defaults. The Tiers slice is deep-copied so the returned
-// config shares no mutable state with the input (RunReplicas runs many
+// config shares no mutable state with the input (RunReplicasCtx runs many
 // copies concurrently).
 func (c ConfigN) WithDefaults() ConfigN {
 	if c.ThinkTime == 0 {
@@ -323,6 +324,12 @@ type ResultN struct {
 	TierNames []string
 }
 
+// emulatedBrowser is one closed-loop client session.
+type emulatedBrowser struct {
+	id      int
+	current Transaction
+}
+
 // txnStateN tracks one in-flight transaction through the tier chain.
 type txnStateN struct {
 	eb          *emulatedBrowser
@@ -480,15 +487,9 @@ func (e *engineN) sampleClasses() {
 	}
 }
 
-// RunN executes one N-tier testbed experiment. The legacy two-tier Run is
-// a thin wrapper over this engine (verified bit-identical on fixed seeds).
-func RunN(cfg ConfigN) (*ResultN, error) {
-	return RunNCtx(context.Background(), cfg)
-}
-
-// RunNCtx is RunN with cooperative cancellation: the event loop polls ctx
-// every few thousand events and returns ctx.Err() when the context is
-// done, discarding the partial run.
+// RunNCtx executes one testbed experiment with cooperative cancellation:
+// the event loop polls ctx every few thousand events and returns
+// ctx.Err() when the context is done, discarding the partial run.
 func RunNCtx(ctx context.Context, cfg ConfigN) (*ResultN, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -711,21 +712,29 @@ func DefaultTiers(mix Mix, k int) ([]TierConfig, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("tpcw: DefaultTiers needs k >= 2, got %d", k)
 	}
-	profiles := DefaultProfiles()
-	two := Config{Mix: mix}.tierConfigs(profiles)
 	tiers := make([]TierConfig, k)
-	tiers[0] = two[0]
-	tiers[k-1] = two[1]
-	for i := 1; i < k-1; i++ {
-		app := TierConfig{}
-		for t, p := range profiles {
-			app.Demands[t] = TierDemand{
+	front, db := &tiers[0], &tiers[k-1]
+	front.Contention, db.Contention = mix.FrontContention, mix.DBContention
+	for t, p := range DefaultProfiles() {
+		// Every type makes one front pass and can trigger front
+		// contention with weight 1.
+		front.Demands[t] = TierDemand{
+			Mean: p.FrontDemand, SCV: p.FrontSCV,
+			MinPasses: 1, MaxPasses: 1,
+			ContentionWeight: 1,
+		}
+		for i := 1; i < k-1; i++ {
+			tiers[i].Demands[t] = TierDemand{
 				Mean:      0.6 * p.FrontDemand,
 				SCV:       p.FrontSCV,
 				MinPasses: 1, MaxPasses: 1,
 			}
 		}
-		tiers[i] = app
+		db.Demands[t] = TierDemand{
+			Mean: p.QueryDemand, SCV: p.QuerySCV,
+			MinPasses: p.MinQueries, MaxPasses: p.MaxQueries,
+			ContentionWeight: p.ContentionWeight,
+		}
 	}
 	return resolveNamesInto(tiers), nil
 }

@@ -53,26 +53,22 @@ type ReplicaResult struct {
 	ClassTierSamples  [][]trace.UtilizationSamples
 }
 
-// RunReplicas executes replicas independently seeded copies of cfg across
-// at most workers goroutines (GOMAXPROCS when workers <= 0) and
-// aggregates their results. Replica seeds derive from cfg.Seed via a
-// dedicated stream, so results are fully deterministic and invariant to
-// the worker count: only the assignment of replicas to goroutines
-// changes, never a replica's seed or its slot in the output.
-func RunReplicas(cfg ConfigN, replicas, workers int) (*ReplicaResult, error) {
-	return RunReplicasCtx(context.Background(), cfg, replicas, workers, nil)
-}
-
 // ReplicaProgress observes a replica set: it is called once per completed
 // replica with the number done so far and the total. Calls are serialized
 // (a mutex guards them) but arrive from worker goroutines, so callbacks
 // must not assume a particular goroutine.
 type ReplicaProgress func(done, total int)
 
-// RunReplicasCtx is RunReplicas with cooperative cancellation and an
-// optional progress callback (nil to disable). When ctx is canceled,
-// in-flight replicas stop within a few thousand simulated events, every
-// worker goroutine drains, and the call returns ctx.Err().
+// RunReplicasCtx executes replicas independently seeded copies of cfg
+// across at most workers goroutines (GOMAXPROCS when workers <= 0) and
+// aggregates their results. Replica seeds derive from cfg.Seed via a
+// dedicated stream, so results are fully deterministic and invariant to
+// the worker count: only the assignment of replicas to goroutines
+// changes, never a replica's seed or its slot in the output.
+//
+// progress (nil to disable) observes replica completions. When ctx is
+// canceled, in-flight replicas stop within a few thousand simulated
+// events, every worker goroutine drains, and the call returns ctx.Err().
 func RunReplicasCtx(ctx context.Context, cfg ConfigN, replicas, workers int, progress ReplicaProgress) (*ReplicaResult, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("tpcw: replicas %d must be >= 1", replicas)

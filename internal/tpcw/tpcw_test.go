@@ -1,6 +1,7 @@
 package tpcw
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -113,27 +114,43 @@ func TestContentionParamsValidate(t *testing.T) {
 	}
 }
 
+// twoTierConfig is the paper's front+DB testbed configuration.
+func twoTierConfig(t *testing.T, cfg ConfigN) ConfigN {
+	t.Helper()
+	tiers, err := DefaultTiers(cfg.Mix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Tiers = tiers
+	return cfg
+}
+
+func runTwoTier(t *testing.T, cfg ConfigN) (*ResultN, error) {
+	t.Helper()
+	return RunNCtx(context.Background(), twoTierConfig(t, cfg))
+}
+
 func TestConfigValidation(t *testing.T) {
-	good := Config{Mix: OrderingMix(), EBs: 10, Seed: 1, Duration: 300, Warmup: 30, Cooldown: 30}
-	if err := good.withDefaults().Validate(); err != nil {
+	good := twoTierConfig(t, ConfigN{Mix: OrderingMix(), EBs: 10, Seed: 1, Duration: 300, Warmup: 30, Cooldown: 30})
+	if err := good.WithDefaults().Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
-	cases := []Config{
+	cases := []ConfigN{
 		{Mix: OrderingMix(), EBs: 0},
 		{Mix: OrderingMix(), EBs: 10, ThinkTime: -1},
 		{Mix: OrderingMix(), EBs: 10, Duration: 100, Warmup: 60, Cooldown: 60},
 	}
 	for i, c := range cases {
-		if err := c.withDefaults().Validate(); err == nil {
+		if err := twoTierConfig(t, c).WithDefaults().Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
 }
 
-// shortRun is a fast configuration for behavioural tests.
-func shortRun(t *testing.T, mix Mix, ebs int, seed int64, series bool) *Result {
+// shortRun is a fast two-tier configuration for behavioural tests.
+func shortRun(t *testing.T, mix Mix, ebs int, seed int64, series bool) *ResultN {
 	t.Helper()
-	res, err := Run(Config{
+	res, err := runTwoTier(t, ConfigN{
 		Mix: mix, EBs: ebs, Seed: seed,
 		Duration: 900, Warmup: 60, Cooldown: 30,
 		TrackSeries: series,
@@ -152,14 +169,13 @@ func TestRunBasicInvariants(t *testing.T) {
 	if res.MeanResponse <= 0 || res.P95Response < res.MeanResponse {
 		t.Errorf("response stats inconsistent: mean %v p95 %v", res.MeanResponse, res.P95Response)
 	}
-	if res.AvgUtilFront <= 0 || res.AvgUtilFront > 1 || res.AvgUtilDB <= 0 || res.AvgUtilDB > 1 {
-		t.Errorf("utilizations out of range: %v %v", res.AvgUtilFront, res.AvgUtilDB)
-	}
-	if err := res.FrontSamples.Validate(); err != nil {
-		t.Errorf("front samples: %v", err)
-	}
-	if err := res.DBSamples.Validate(); err != nil {
-		t.Errorf("db samples: %v", err)
+	for i, u := range res.AvgUtil {
+		if u <= 0 || u > 1 {
+			t.Errorf("tier %d utilization %v out of range", i, u)
+		}
+		if err := res.TierSamples[i].Validate(); err != nil {
+			t.Errorf("tier %d samples: %v", i, err)
+		}
 	}
 	var totalByType int64
 	for _, c := range res.CompletedByType {
@@ -194,12 +210,12 @@ func TestThroughputSaturatesWithEBs(t *testing.T) {
 		prev = res.Throughput
 	}
 	high := shortRun(t, ShoppingMix(), 150, 5, false)
-	if high.AvgUtilFront < 0.85 {
-		t.Errorf("front utilization at 150 EBs = %v, want near saturation", high.AvgUtilFront)
+	if high.AvgUtil[0] < 0.85 {
+		t.Errorf("front utilization at 150 EBs = %v, want near saturation", high.AvgUtil[0])
 	}
-	if high.AvgUtilDB > high.AvgUtilFront {
+	if high.AvgUtil[1] > high.AvgUtil[0] {
 		t.Errorf("shopping mix should be front-bottlenecked (Ud %v < Uf %v)",
-			high.AvgUtilDB, high.AvgUtilFront)
+			high.AvgUtil[1], high.AvgUtil[0])
 	}
 }
 
@@ -210,19 +226,19 @@ func TestBrowsingMixIsBursty(t *testing.T) {
 	browsing := shortRun(t, BrowsingMix(), 100, 9, true)
 	ordering := shortRun(t, OrderingMix(), 100, 9, true)
 
-	iFB, err := browsing.FrontSamples.EstimateIndexOfDispersion(trace.DispersionOptions{})
+	iFB, err := browsing.TierSamples[0].EstimateIndexOfDispersion(trace.DispersionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iFO, err := ordering.FrontSamples.EstimateIndexOfDispersion(trace.DispersionOptions{})
+	iFO, err := ordering.TierSamples[0].EstimateIndexOfDispersion(trace.DispersionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iDB, err := browsing.DBSamples.EstimateIndexOfDispersion(trace.DispersionOptions{})
+	iDB, err := browsing.TierSamples[1].EstimateIndexOfDispersion(trace.DispersionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iDO, err := ordering.DBSamples.EstimateIndexOfDispersion(trace.DispersionOptions{})
+	iDO, err := ordering.TierSamples[1].EstimateIndexOfDispersion(trace.DispersionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +253,15 @@ func TestBrowsingMixIsBursty(t *testing.T) {
 
 	// Bottleneck switch: windows where DB utilization exceeds front's by
 	// 20 points occur regularly under browsing, rarely under ordering.
-	switchFraction := func(r *Result) float64 {
+	switchFraction := func(r *ResultN) float64 {
+		front, db := r.TierUtil1s[0], r.TierUtil1s[1]
 		n := 0
-		for i := range r.DBUtil1s {
-			if r.DBUtil1s[i] > r.FrontUtil1s[i]+0.2 {
+		for i := range db {
+			if db[i] > front[i]+0.2 {
 				n++
 			}
 		}
-		return float64(n) / float64(len(r.DBUtil1s))
+		return float64(n) / float64(len(db))
 	}
 	sb, so := switchFraction(browsing), switchFraction(ordering)
 	t.Logf("bottleneck-switch fraction: browsing %.3f vs ordering %.3f", sb, so)
@@ -261,7 +278,7 @@ func TestDBQueueSpikesUnderBrowsing(t *testing.T) {
 	// time but spikes toward the EB count during contention epochs.
 	res := shortRun(t, BrowsingMix(), 100, 13, true)
 	lo, hi := math.Inf(1), 0.0
-	for _, q := range res.DBQueueLen1s {
+	for _, q := range res.TierQueueLen1s[1] {
 		if q < lo {
 			lo = q
 		}
@@ -293,7 +310,7 @@ func TestBestSellerDominatesSpikes(t *testing.T) {
 	}
 	// Correlation between BestSellers in-system and DB queue length
 	// should be strongly positive.
-	corr := seriesCorrelation(res.InSystem1s[BestSellers], res.DBQueueLen1s)
+	corr := seriesCorrelation(res.InSystem1s[BestSellers], res.TierQueueLen1s[1])
 	if corr < 0.5 {
 		t.Errorf("BestSellers/DB-queue correlation = %v, want > 0.5", corr)
 	}
@@ -325,11 +342,11 @@ func seriesCorrelation(a, b []float64) float64 {
 
 func TestMeanServiceTimesEstimable(t *testing.T) {
 	res := shortRun(t, BrowsingMix(), 75, 21, false)
-	sf, err := res.FrontSamples.MeanServiceTime()
+	sf, err := res.TierSamples[0].MeanServiceTime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := res.DBSamples.MeanServiceTime()
+	sd, err := res.TierSamples[1].MeanServiceTime()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +374,11 @@ func TestPerTypeSharesMatchMix(t *testing.T) {
 func TestHigherThinkTimeLowersThroughput(t *testing.T) {
 	// Zestim = 7 s runs (Section 4.2) have far lower throughput than
 	// Z = 0.5 s at the same EB count.
-	fast, err := Run(Config{Mix: BrowsingMix(), EBs: 50, ThinkTime: 0.5, Seed: 3, Duration: 600, Warmup: 60, Cooldown: 30})
+	fast, err := runTwoTier(t, ConfigN{Mix: BrowsingMix(), EBs: 50, ThinkTime: 0.5, Seed: 3, Duration: 600, Warmup: 60, Cooldown: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Run(Config{Mix: BrowsingMix(), EBs: 50, ThinkTime: 7, Seed: 3, Duration: 600, Warmup: 60, Cooldown: 30})
+	slow, err := runTwoTier(t, ConfigN{Mix: BrowsingMix(), EBs: 50, ThinkTime: 7, Seed: 3, Duration: 600, Warmup: 60, Cooldown: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +387,7 @@ func TestHigherThinkTimeLowersThroughput(t *testing.T) {
 			slow.Throughput, fast.Throughput)
 	}
 	// Z=7s at 50 EBs: X ~ 50/7 ~ 7/s, utilizations low.
-	if slow.AvgUtilFront > 0.2 {
-		t.Errorf("Z=7 front utilization = %v, want light load", slow.AvgUtilFront)
+	if slow.AvgUtil[0] > 0.2 {
+		t.Errorf("Z=7 front utilization = %v, want light load", slow.AvgUtil[0])
 	}
 }

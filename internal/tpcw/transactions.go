@@ -7,6 +7,10 @@
 // the database triggered by the Best Seller and Home transactions
 // (Section 3.3) — and exposes the same coarse measurements the paper's
 // tooling collects (per-window utilizations and completion counts).
+//
+// The testbed is a tandem of K processor-sharing tiers (ConfigN,
+// RunNCtx, RunReplicasCtx); DefaultTiers(mix, 2) builds the paper's
+// front+DB deployment.
 package tpcw
 
 import "fmt"

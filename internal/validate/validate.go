@@ -131,17 +131,12 @@ type Report struct {
 	Bounds *mapqn.NetworkBoundsResult
 }
 
-// CrossValidate runs the closed loop at cfg's operating point: simulate
-// (replicated), characterize each tier from the simulated samples, fit a
-// MAP(2) per tier, solve the K-station MAP network and the MVA baseline
-// at cfg.EBs, and compare against the simulation.
-func CrossValidate(cfg tpcw.ConfigN, opts Options) (*Report, error) {
-	return CrossValidateCtx(context.Background(), cfg, opts)
-}
-
-// CrossValidateCtx is CrossValidate with cooperative cancellation: both
-// the replicated simulation and the CTMC solve poll ctx and return
-// ctx.Err() promptly when the context is done.
+// CrossValidateCtx runs the closed loop at cfg's operating point:
+// simulate (replicated), characterize each tier from the simulated
+// samples, fit a MAP(2) per tier, solve the K-station MAP network and the
+// MVA baseline at cfg.EBs, and compare against the simulation. Both the
+// replicated simulation and the CTMC solve poll ctx and return ctx.Err()
+// promptly when the context is done.
 func CrossValidateCtx(ctx context.Context, cfg tpcw.ConfigN, opts Options) (*Report, error) {
 	if opts.Replicas == 0 {
 		opts.Replicas = 3
@@ -160,15 +155,9 @@ func CrossValidateCtx(ctx context.Context, cfg tpcw.ConfigN, opts Options) (*Rep
 	return compare(ctx, cfg, rr, opts)
 }
 
-// CrossValidateReplicas is CrossValidate starting from an already
+// CrossValidateReplicasCtx is CrossValidateCtx starting from an already
 // completed replica set (e.g., to evaluate several model variants against
-// one simulation).
-func CrossValidateReplicas(rr *tpcw.ReplicaResult, opts Options) (*Report, error) {
-	return CrossValidateReplicasCtx(context.Background(), rr, opts)
-}
-
-// CrossValidateReplicasCtx is CrossValidateReplicas with cooperative
-// cancellation of the modeling stage.
+// one simulation), with cooperative cancellation of the modeling stage.
 func CrossValidateReplicasCtx(ctx context.Context, rr *tpcw.ReplicaResult, opts Options) (*Report, error) {
 	if rr == nil || len(rr.Results) == 0 {
 		return nil, errors.New("validate: no replica results")

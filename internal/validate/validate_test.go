@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func TestCrossValidationThreeTier(t *testing.T) {
 		EBs: 30, Seed: 7,
 		Duration: 900, Warmup: 60, Cooldown: 30,
 	}
-	rep, err := CrossValidate(cfg, Options{
+	rep, err := CrossValidateCtx(context.Background(), cfg, Options{
 		Replicas: 3,
 		Planner:  core.PlannerOptions{Solver: ctmc.Options{Tol: 1e-8}},
 	})

@@ -24,8 +24,8 @@ import (
 // whole experiment — tiers, workload, population sweep, solver
 // selection — and Run executes it through the library's
 // characterize → fit → solve → simulate machinery, returning a unified
-// JSON-serializable Report. This is the primary API; the function-per-
-// step entry points below remain as deprecated thin wrappers.
+// JSON-serializable Report. This is the primary API; the context-aware
+// entry points at the end of this file expose its individual stages.
 type (
 	// Scenario declares one end-to-end experiment.
 	Scenario = core.Scenario
@@ -68,7 +68,7 @@ const (
 )
 
 // ZeroWindow marks an explicitly empty warm-up/cool-down window in a
-// WorkloadSpec (and in the legacy TPCWConfig fields).
+// WorkloadSpec or TPCWConfigN.
 const ZeroWindow = tpcw.ZeroWindow
 
 // Progress stage names, as reported in ProgressEvent.Stage. The same
@@ -861,10 +861,8 @@ func validationPoint(v *ValidationReport, multiclass bool) *ValidationPoint {
 	return vp
 }
 
-// Canonical context-aware entry points. These are the N-tier surface
-// without the historical *N suffix: each delegates to the same internal
-// machinery as its deprecated counterpart, adding cooperative
-// cancellation.
+// Context-aware entry points: one per operation, each N-tier (the paper's
+// two tiers are the K=2 case) and each with cooperative cancellation.
 
 // SolveNetwork solves a closed K-station MAP queueing network exactly,
 // with cooperative cancellation.
