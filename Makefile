@@ -43,9 +43,10 @@ race:
 
 # faults runs the deterministic fault-injection suite under the race
 # detector: every failure policy (fail-fast, continue, retry-with-
-# backoff, panic recovery) and the solver-degradation paths exercised
-# with errors, panics, and delays injected at each pipeline stage via
-# internal/faultinject.
+# backoff, panic recovery) exercised with errors, panics, and delays
+# injected at each pipeline stage via internal/faultinject, and the
+# solver-degradation paths (exact -> decomp -> bounds) exercised from
+# both Run and cross-validation.
 faults:
 	$(GO) test -race -run 'TestFault' ./...
 

@@ -66,12 +66,12 @@ func TestRunModelScenarioDelegates(t *testing.T) {
 		t.Fatalf("tier names %v", rep.TierNames)
 	}
 
-	// Step by step: BuildPlanNFromCharacterizations + PredictCtx + Bounds.
+	// Step by step: FitPlan + PredictCtx + Bounds.
 	chars := []Characterization{
 		{MeanServiceTime: 0.006, IndexOfDispersion: 3, P95ServiceTime: 0.015},
 		{MeanServiceTime: 0.009, IndexOfDispersion: 40, P95ServiceTime: 0.02},
 	}
-	plan, err := core.BuildPlanNFromCharacterizations(chars, 0.5, PlannerOptions{TierNames: []string{"front", "db"}})
+	plan, err := core.FitPlan(chars, 0.5, PlannerOptions{TierNames: []string{"front", "db"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

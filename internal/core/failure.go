@@ -242,17 +242,20 @@ type FaultHook func(cellHash, stage string) error
 
 // SolveFallbackReason inspects an exact-MAP-solve error and reports
 // whether a cheaper tier (the decomp approximation, then NetworkBounds)
-// can still answer: true for non-convergence (ctmc.ErrNoConvergence)
-// and for state spaces over the backend limit (mapqn.ErrStateLimit).
-// The returned reason populates Report.FallbackReason — with the hops
-// taken appended by the caller — so degraded rows are never mistaken
-// for exact ones.
-func SolveFallbackReason(err error) (string, bool) {
+// can still answer: true for non-convergence (ctmc.ErrNoConvergence),
+// for state spaces over the backend limit (mapqn.ErrStateLimit), and
+// for a deadline expiry while parent is still alive — the scenario's
+// own Deadline ran out, not the caller's context. The returned reason
+// opens Report.FallbackReason; SolveModel, its one caller, appends the
+// hops it takes, so degraded rows are never mistaken for exact ones.
+func SolveFallbackReason(parent context.Context, err error) (string, bool) {
 	switch {
 	case errors.Is(err, ctmc.ErrNoConvergence):
 		return "exact MAP solve did not converge: " + err.Error(), true
 	case errors.Is(err, mapqn.ErrStateLimit):
 		return "state space over the solver limit: " + err.Error(), true
+	case errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil:
+		return "scenario deadline expired during the exact MAP solve", true
 	}
 	return "", false
 }

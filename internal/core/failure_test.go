@@ -310,14 +310,14 @@ func TestRunSuiteCancellationAbortsContinuePolicy(t *testing.T) {
 func TestMemoEvictsCancellation(t *testing.T) {
 	m := NewMemo()
 	calls := 0
-	_, err := m.Solve("k", func() ([]PredictionN, error) {
+	_, err := Memoize(m, MemoSolve, "k", func() ([]PredictionN, error) {
 		calls++
 		return nil, context.DeadlineExceeded
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("first call err = %v", err)
 	}
-	got, err := m.Solve("k", func() ([]PredictionN, error) {
+	got, err := Memoize(m, MemoSolve, "k", func() ([]PredictionN, error) {
 		calls++
 		return []PredictionN{{}}, nil
 	})
@@ -328,12 +328,12 @@ func TestMemoEvictsCancellation(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 2 (cancellation evicted)", calls)
 	}
 	// context.Canceled behaves the same.
-	if _, err := m.Characterize("c", func() (inference.Characterization, error) {
+	if _, err := Memoize(m, MemoChar, "c", func() (inference.Characterization, error) {
 		return inference.Characterization{}, fmt.Errorf("wrapped: %w", context.Canceled)
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatal("unexpected first error")
 	}
-	if v, err := m.Characterize("c", func() (inference.Characterization, error) {
+	if v, err := Memoize(m, MemoChar, "c", func() (inference.Characterization, error) {
 		return inference.Characterization{MeanServiceTime: 1}, nil
 	}); err != nil || v.MeanServiceTime != 1 {
 		t.Fatalf("canceled entry not evicted: (%v, %v)", v, err)
@@ -347,10 +347,10 @@ func TestMemoPanicDoesNotWedgeWaiters(t *testing.T) {
 	m := NewMemo()
 	func() {
 		defer func() { recover() }()
-		m.Fit("p", func() (markov.FitResult, error) { panic("compute died") })
+		Memoize(m, MemoFit, "p", func() (markov.FitResult, error) { panic("compute died") })
 	}()
 	// The key must be recomputable afterwards.
-	v, err := m.Fit("p", func() (markov.FitResult, error) { return markov.FitResult{SCV: 2}, nil })
+	v, err := Memoize(m, MemoFit, "p", func() (markov.FitResult, error) { return markov.FitResult{SCV: 2}, nil })
 	if err != nil || v.SCV != 2 {
 		t.Fatalf("post-panic Fit = (%v, %v)", v, err)
 	}

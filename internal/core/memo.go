@@ -4,11 +4,8 @@ import (
 	"container/list"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
-
-	"repro/internal/inference"
-	"repro/internal/mapqn"
-	"repro/internal/markov"
 )
 
 // Memo is the engine's stage cache. Scenario cells frequently share
@@ -48,11 +45,18 @@ type memoCache struct {
 	global     MemoStats
 }
 
-// Memo stage families, used as key prefixes and stat buckets.
+// MemoFamily names a memo stage family: the key prefix and the stat
+// bucket of its lookups.
+type MemoFamily string
+
+// Memo stage families.
 const (
-	memoChar  = "char"  // inference.Characterize per sampled tier spec
-	memoFit   = "fit"   // markov.FitThreePoint per characterization
-	memoSolve = "solve" // MAP-network sweep per (model, populations, tolerance)
+	MemoChar MemoFamily = "char" // inference.Characterize per sampled tier spec
+	MemoFit  MemoFamily = "fit"  // markov.FitThreePoint per characterization
+	// MemoSolve holds every population sweep — exact MAP+MVA and decomp
+	// alike, keyed apart by solver kind (see solveKey) — so both share
+	// the solve counters and byte budget.
+	MemoSolve MemoFamily = "solve"
 )
 
 type memoEntry struct {
@@ -91,19 +95,19 @@ func (s MemoStats) Hits() int64 { return s.CharHits + s.FitHits + s.SolveHits }
 func (s MemoStats) Misses() int64 { return s.CharMisses + s.FitMisses + s.SolveMisses }
 
 // bump counts one lookup into the family's hit or miss bucket.
-func (s *MemoStats) bump(family string, hit bool) {
+func (s *MemoStats) bump(family MemoFamily, hit bool) {
 	switch {
-	case family == memoChar && hit:
+	case family == MemoChar && hit:
 		s.CharHits++
-	case family == memoChar:
+	case family == MemoChar:
 		s.CharMisses++
-	case family == memoFit && hit:
+	case family == MemoFit && hit:
 		s.FitHits++
-	case family == memoFit:
+	case family == MemoFit:
 		s.FitMisses++
-	case family == memoSolve && hit:
+	case family == MemoSolve && hit:
 		s.SolveHits++
-	case family == memoSolve:
+	case family == MemoSolve:
 		s.SolveMisses++
 	}
 }
@@ -193,9 +197,9 @@ func (m *Memo) CacheStats() MemoStats {
 // one would permanently fail every later cell sharing the key. A
 // panicking compute is likewise dropped (waiters get an error, the
 // panic propagates to the computing goroutine's recovery layer).
-func (m *Memo) do(family, key string, compute func() (any, error)) (any, error) {
+func (m *Memo) do(family MemoFamily, key string, compute func() (any, error)) (any, error) {
 	c := m.c
-	full := family + "\x00" + key
+	full := string(family) + "\x00" + key
 	c.mu.Lock()
 	if e, ok := c.entries[full]; ok {
 		c.global.bump(family, true)
@@ -296,57 +300,22 @@ func memoSize(val any, err error) int64 {
 	return int64(len(b))
 }
 
-// Characterize memoizes the Section 4.1 estimation pipeline for one
-// sampled tier spec. A nil memo computes directly.
-func (m *Memo) Characterize(key string, compute func() (inference.Characterization, error)) (inference.Characterization, error) {
+// Memoize returns the value m caches for key in a stage family,
+// computing it on first use. key is any JSON-encodable identity of the
+// computation; it is hashed (HashJSON) only when m is non-nil, so a nil
+// memo — a cold run — computes directly without paying for the key.
+func Memoize[T any](m *Memo, family MemoFamily, key any, compute func() (T, error)) (T, error) {
+	var zero T
 	if m == nil {
 		return compute()
 	}
-	v, err := m.do(memoChar, key, func() (any, error) { return compute() })
+	h, err := HashJSON(key)
 	if err != nil {
-		return inference.Characterization{}, err
+		return zero, fmt.Errorf("core: %s memo key: %w", family, err)
 	}
-	return v.(inference.Characterization), nil
-}
-
-// Fit memoizes one tier's MAP(2) fit. A nil memo computes directly.
-func (m *Memo) Fit(key string, compute func() (markov.FitResult, error)) (markov.FitResult, error) {
-	if m == nil {
-		return compute()
-	}
-	v, err := m.do(memoFit, key, func() (any, error) { return compute() })
+	v, err := m.do(family, h, func() (any, error) { return compute() })
 	if err != nil {
-		return markov.FitResult{}, err
+		return zero, err
 	}
-	return v.(markov.FitResult), nil
-}
-
-// Solve memoizes one model's full warm-started population sweep (MAP
-// and MVA columns together, as PlanN.PredictCtx produces them). A nil
-// memo computes directly.
-func (m *Memo) Solve(key string, compute func() ([]PredictionN, error)) ([]PredictionN, error) {
-	if m == nil {
-		return compute()
-	}
-	v, err := m.do(memoSolve, key, func() (any, error) { return compute() })
-	if err != nil {
-		return nil, err
-	}
-	return v.([]PredictionN), nil
-}
-
-// SolveDecomp memoizes one model's decomposition population sweep (as
-// PlanN.PredictDecompCtx produces it). It shares the solve family —
-// and therefore the solve hit/miss counters and byte budget — with
-// Solve; keys embed the solver kind so the two never collide. A nil
-// memo computes directly.
-func (m *Memo) SolveDecomp(key string, compute func() ([]mapqn.NetworkMetrics, error)) ([]mapqn.NetworkMetrics, error) {
-	if m == nil {
-		return compute()
-	}
-	v, err := m.do(memoSolve, key, func() (any, error) { return compute() })
-	if err != nil {
-		return nil, err
-	}
-	return v.([]mapqn.NetworkMetrics), nil
+	return v.(T), nil
 }

@@ -16,7 +16,7 @@ func fitStub(i int) markov.FitResult {
 // doFit performs one Fit lookup through m, counting compute calls.
 func doFit(t *testing.T, m *Memo, key string, i int, calls *int) markov.FitResult {
 	t.Helper()
-	got, err := m.Fit(key, func() (markov.FitResult, error) {
+	got, err := Memoize(m, MemoFit, key, func() (markov.FitResult, error) {
 		*calls++
 		return fitStub(i), nil
 	})
@@ -128,7 +128,7 @@ func TestBoundedMemoCachesErrors(t *testing.T) {
 	calls := 0
 	boom := errors.New("deterministic failure")
 	for i := 0; i < 3; i++ {
-		_, err := m.Fit("bad", func() (markov.FitResult, error) {
+		_, err := Memoize(m, MemoFit, "bad", func() (markov.FitResult, error) {
 			calls++
 			return markov.FitResult{}, boom
 		})

@@ -78,43 +78,45 @@ func DefaultTierNames(k int) []string {
 	return names
 }
 
-// BuildPlanNFromCharacterizations runs the fit step of the Section 4
-// pipeline for a K-tier system: one MAP(2) per tier from its measured
-// (mean, I, p95) characterization. chars[0] is the first tier a request
-// hits; thinkTime is the Z_qn the resulting model will be evaluated at,
-// which may differ from the think time of the measured system (Z_estim)
-// — the paper exploits exactly this to improve estimation granularity
-// (Fig. 11). Tier labels come from opts.TierNames when set.
-func BuildPlanNFromCharacterizations(chars []inference.Characterization, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
-	if thinkTime <= 0 {
-		return nil, fmt.Errorf("core: think time %v must be > 0", thinkTime)
-	}
-	if len(chars) == 0 {
-		return nil, errors.New("core: no tiers to plan for")
-	}
+// FitPlan runs the fit step of the Section 4 pipeline for a K-tier
+// system: one MAP(2) per tier from its measured (mean, I, p95)
+// characterization, each fit memoized by its (characterization, fit
+// options) key so a suite fits every distinct tier exactly once (a nil
+// memo fits cold). chars[0] is the first tier a request hits; every
+// tier is visited once. thinkTime is the Z_qn the resulting model will
+// be evaluated at, which may differ from the think time of the measured
+// system (Z_estim) — the paper exploits exactly this to improve
+// estimation granularity (Fig. 11). Tier labels come from
+// opts.TierNames when set.
+func FitPlan(chars []inference.Characterization, thinkTime float64, opts PlannerOptions, memo *Memo) (*PlanN, error) {
 	names, err := tierNames(len(chars), opts.TierNames)
 	if err != nil {
 		return nil, err
 	}
-	plan := &PlanN{ThinkTime: thinkTime, opts: opts, Tiers: make([]Tier, len(chars))}
+	tiers := make([]Tier, len(chars))
 	for i, c := range chars {
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %s characterization: %w", names[i], err)
 		}
-		fit, err := markov.FitThreePoint(c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, opts.Fit)
+		key := struct {
+			Mean float64           `json:"mean"`
+			I    float64           `json:"i"`
+			P95  float64           `json:"p95"`
+			Fit  markov.FitOptions `json:"fit"`
+		}{c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, opts.Fit}
+		fit, err := Memoize(memo, MemoFit, key, func() (markov.FitResult, error) {
+			return markov.FitThreePoint(c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, opts.Fit)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s MAP fit: %w", names[i], err)
 		}
-		plan.Tiers[i] = Tier{Name: names[i], Characterization: c, Fit: fit, Visits: 1}
+		tiers[i] = Tier{Name: names[i], Characterization: c, Fit: fit, Visits: 1}
 	}
-	return plan, nil
+	return NewPlanN(tiers, thinkTime, opts)
 }
 
 // NewPlanN assembles a plan from already characterized and fitted
-// tiers — the constructor the suite engine's memoized pipeline uses,
-// where characterize→fit results are cached per tier spec and must not
-// be recomputed per cell. Callers own the tiers' correctness; use
-// BuildPlanNFromCharacterizations to run the fit step.
+// tiers. Callers own the tiers' correctness; FitPlan runs the fit step.
 func NewPlanN(tiers []Tier, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
 	if thinkTime <= 0 {
 		return nil, fmt.Errorf("core: think time %v must be > 0", thinkTime)
@@ -222,36 +224,6 @@ func (p *PlanN) PredictDecompCtx(ctx context.Context, populations []int, progres
 		return nil, fmt.Errorf("core: decomp model: %w", err)
 	}
 	return mets, nil
-}
-
-// MulticlassNetwork assembles the multiclass MVA network of the plan
-// from resolved class demands. Every class must supply one demand per
-// tier; classes inherit nothing here — ResolveClassDemands materializes
-// inherited tier demands before this point.
-func (p *PlanN) MulticlassNetwork(classes []ClassDemands) (mva.MultiNetwork, error) {
-	if len(classes) == 0 {
-		return mva.MultiNetwork{}, errors.New("core: no classes declared")
-	}
-	for _, c := range classes {
-		if len(c.Demands) != len(p.Tiers) {
-			return mva.MultiNetwork{}, fmt.Errorf("core: class %s has %d demands for %d tiers", c.Name, len(c.Demands), len(p.Tiers))
-		}
-	}
-	return MultiNetworkFor(classes), nil
-}
-
-// PredictMulticlass evaluates the multiclass analytic path of the plan:
-// exact multiclass MVA (Schweitzer/Bard beyond the tractable lattice) at
-// each per-class population vector. It complements Predict, whose MAP
-// column stays single-class — exact multiclass CTMC state spaces explode
-// — so a multiclass scenario pairs this sweep with the aggregated-class
-// MAP solve.
-func (p *PlanN) PredictMulticlass(classes []ClassDemands, populations [][]int) ([]MulticlassResult, error) {
-	net, err := p.MulticlassNetwork(classes)
-	if err != nil {
-		return nil, err
-	}
-	return SolveMulticlassSweep(net, populations, p.opts.Solver.Tol)
 }
 
 // Bounds brackets the MAP network's throughput at each population with

@@ -12,13 +12,13 @@ import (
 	"repro/internal/mva"
 )
 
-func TestBuildPlanNFromCharacterizations(t *testing.T) {
+func TestFitPlanFromCharacterizations(t *testing.T) {
 	chars := []inference.Characterization{
 		validChar(0.005, 40, 0.02),
 		validChar(0.006, 120, 0.04),
 		validChar(0.004, 300, 0.03),
 	}
-	plan, err := BuildPlanNFromCharacterizations(chars, 0.5, PlannerOptions{})
+	plan, err := FitPlan(chars, 0.5, PlannerOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +44,18 @@ func TestBuildPlanNFromCharacterizations(t *testing.T) {
 
 func TestBuildPlanNErrors(t *testing.T) {
 	good := validChar(0.005, 40, 0.02)
-	if _, err := BuildPlanNFromCharacterizations(nil, 0.5, PlannerOptions{}); err == nil {
+	if _, err := FitPlan(nil, 0.5, PlannerOptions{}, nil); err == nil {
 		t.Error("expected error for no tiers")
 	}
-	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good}, 0, PlannerOptions{}); err == nil {
+	if _, err := FitPlan([]inference.Characterization{good}, 0, PlannerOptions{}, nil); err == nil {
 		t.Error("expected error for zero think time")
 	}
 	bad := validChar(0, 40, 0.02)
-	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good, bad}, 0.5, PlannerOptions{}); err == nil {
+	if _, err := FitPlan([]inference.Characterization{good, bad}, 0.5, PlannerOptions{}, nil); err == nil {
 		t.Error("expected error for invalid characterization")
 	}
-	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good, good}, 0.5,
-		PlannerOptions{TierNames: []string{"only-one"}}); err == nil {
+	if _, err := FitPlan([]inference.Characterization{good, good}, 0.5,
+		PlannerOptions{TierNames: []string{"only-one"}}, nil); err == nil {
 		t.Error("expected error for name/tier count mismatch")
 	}
 }
@@ -91,11 +91,11 @@ func TestTwoTierPlanMatchesPlanN(t *testing.T) {
 }
 
 func TestPlanNPredictThreeTier(t *testing.T) {
-	plan, err := BuildPlanNFromCharacterizations([]inference.Characterization{
+	plan, err := FitPlan([]inference.Characterization{
 		validChar(0.004, 20, 0.015),
 		validChar(0.006, 150, 0.04), // bursty middle tier
 		validChar(0.003, 10, 0.008),
-	}, 0.5, PlannerOptions{})
+	}, 0.5, PlannerOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestPlanNPredictThreeTier(t *testing.T) {
 }
 
 func TestPlanNCompare(t *testing.T) {
-	plan, err := BuildPlanNFromCharacterizations([]inference.Characterization{
+	plan, err := FitPlan([]inference.Characterization{
 		validChar(0.005, 5, 0.02),
 		validChar(0.004, 5, 0.02),
 		validChar(0.006, 5, 0.02),
-	}, 0.5, PlannerOptions{TierNames: []string{"web", "cache", "db"}})
+	}, 0.5, PlannerOptions{TierNames: []string{"web", "cache", "db"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

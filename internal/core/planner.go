@@ -9,9 +9,11 @@
 // workloads and bottleneck switch.
 //
 // A plan is a PlanN with one tier per layer (front, app, ..., db),
-// built by BuildPlanNFromCharacterizations or NewPlanN; the paper's
-// front+DB system is the K=2 case. The declarative entry point over the
-// same machinery is Scenario, executed by the root package's Run.
+// fitted by FitPlan or assembled from fitted tiers by NewPlanN; the
+// paper's front+DB system is the K=2 case. SolveModel fits and solves a
+// plan with the exact -> decomp -> bounds degradation ladder; it is the
+// model stage of both the declarative entry point (Scenario, executed
+// by the root package's Run) and cross-validation.
 package core
 
 import (

@@ -22,7 +22,7 @@ func validChar(mean, i, p95 float64) inference.Characterization {
 
 func twoTierPlan(t *testing.T, front, db inference.Characterization) *PlanN {
 	t.Helper()
-	plan, err := BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, 0.5, PlannerOptions{})
+	plan, err := FitPlan([]inference.Characterization{front, db}, 0.5, PlannerOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBuildPlanErrors(t *testing.T) {
 		{"invalid front characterization", bad, good, 0.5},
 		{"invalid db characterization", good, bad, 0.5},
 	} {
-		if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{c.front, c.db}, c.z, PlannerOptions{}); err == nil {
+		if _, err := FitPlan([]inference.Characterization{c.front, c.db}, c.z, PlannerOptions{}, nil); err == nil {
 			t.Errorf("expected error for %s", c.name)
 		}
 	}

@@ -313,7 +313,7 @@ func TestMemoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := m.Fit("same-key", func() (markov.FitResult, error) {
+			got, err := Memoize(m, MemoFit, "same-key", func() (markov.FitResult, error) {
 				atomic.AddInt32(&computed, 1)
 				return markov.FitResult{SCV: 7}, nil
 			})
@@ -332,10 +332,10 @@ func TestMemoSingleFlight(t *testing.T) {
 	}
 	// Errors are cached like values.
 	wantErr := errors.New("boom")
-	if _, err := m.Solve("k", func() ([]PredictionN, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
+	if _, err := Memoize(m, MemoSolve, "k", func() ([]PredictionN, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := m.Solve("k", func() ([]PredictionN, error) {
+	if _, err := Memoize(m, MemoSolve, "k", func() ([]PredictionN, error) {
 		t.Error("error entry recomputed")
 		return nil, nil
 	}); !errors.Is(err, wantErr) {
@@ -343,7 +343,7 @@ func TestMemoSingleFlight(t *testing.T) {
 	}
 	// A nil memo computes directly.
 	var nilMemo *Memo
-	if v, err := nilMemo.Fit("x", func() (markov.FitResult, error) { return markov.FitResult{SCV: 3}, nil }); err != nil || v.SCV != 3 {
+	if v, err := Memoize(nilMemo, MemoFit, "x", func() (markov.FitResult, error) { return markov.FitResult{SCV: 3}, nil }); err != nil || v.SCV != 3 {
 		t.Fatalf("nil memo Fit = (%v, %v)", v, err)
 	}
 	if got := nilMemo.Stats(); got != (MemoStats{}) {

@@ -40,10 +40,10 @@ func fitCharacterizations(mix tpcw.Mix, zEstim float64, ebs int, seed int64, sca
 // planAt fits MAP(2)s to the two-tier characterizations, to be evaluated
 // at Zqn = 0.5 s.
 func planAt(chars []inference.Characterization, scale Scale) (*core.PlanN, error) {
-	return core.BuildPlanNFromCharacterizations(chars, 0.5, core.PlannerOptions{
+	return core.FitPlan(chars, 0.5, core.PlannerOptions{
 		Solver: solverOpts(scale),
 		Fit:    fitOpts(),
-	})
+	}, nil)
 }
 
 // Figure10 compares MVA predictions (parameterized by mean demands only,

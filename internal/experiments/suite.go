@@ -64,16 +64,6 @@ func standardMixNames() []string {
 	return names
 }
 
-// standardMix resolves a mix name against the paper's three mixes.
-func standardMix(name string) (tpcw.Mix, error) {
-	for _, m := range tpcw.StandardMixes() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return tpcw.Mix{}, fmt.Errorf("experiments: unknown mix %q", name)
-}
-
 // measurementSuite declares a mixes × populations measurement sweep on
 // the simulated testbed: one single-run cell per (mix, N), populations
 // varying fastest — the order the paper's tables are printed in. The
@@ -107,7 +97,7 @@ func measureRunner(seedStep int64) core.CellRunner {
 		}
 		sc := cell.Scenario
 		wl := sc.Workload
-		mix, err := standardMix(wl.Mix)
+		mix, err := tpcw.MixByName(wl.Mix)
 		if err != nil {
 			return nil, err
 		}

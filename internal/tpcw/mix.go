@@ -3,6 +3,7 @@ package tpcw
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Mix is one of the TPC-W standard transaction mixes: a target visit
@@ -151,4 +152,18 @@ func OrderingMix() Mix {
 // StandardMixes returns the three TPC-W mixes in the paper's order.
 func StandardMixes() []Mix {
 	return []Mix{BrowsingMix(), ShoppingMix(), OrderingMix()}
+}
+
+// MixByName resolves a mix name ("browsing", "shopping", "ordering")
+// against StandardMixes. Unknown names error, listing the valid ones.
+func MixByName(name string) (Mix, error) {
+	mixes := StandardMixes()
+	names := make([]string, len(mixes))
+	for i, m := range mixes {
+		if m.Name == name {
+			return m, nil
+		}
+		names[i] = m.Name
+	}
+	return Mix{}, fmt.Errorf("tpcw: unknown mix %q (want %s)", name, strings.Join(names, ", "))
 }
